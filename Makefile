@@ -5,7 +5,8 @@
 # whole-module call-graph generation (ctxflow, lockheld, hotalloc,
 # errdrop), the def-use dataflow generation (clocktaint, lockorder,
 # wireshape) and its measured zero-allocation hot-path gate (the
-# TestAlloc* AllocsPerRun tests run by bench-smoke).
+# TestAlloc* AllocsPerRun tests over the nn.Scratch inference executor,
+# run by bench-smoke).
 
 GO ?= go
 
@@ -101,7 +102,7 @@ bench:
 # BenchmarkTuneAdaptive measured-candidate comparison) plus a bounded
 # root subset.
 # The first line is the zero-allocation gate (DESIGN.md §12): the
-# TestAlloc* tests pin the warmed *In inference kernels to 0 heap
+# TestAlloc* tests pin every warmed nn.Scratch executor method to 0 heap
 # allocations per run via testing.AllocsPerRun — the dynamic cross-check
 # of the static hotalloc analyzer.
 bench-smoke:
@@ -114,13 +115,14 @@ bench-parallel:
 	$(GO) test -bench=BenchmarkTuneParallel -benchtime=1x .
 
 # Short fuzz pass over the record codec (the store's segment format and
-# the fleet's wire format), the store's torn-tail segment replay, and
-# the hand-editable wire.lock parser. The seed corpora also run as
+# the fleet's wire format), the store's torn-tail segment replay, the
+# daemon's job-spec decoder, and the hand-editable wire.lock parser. The seed corpora also run as
 # plain tests under `make test`.
 fuzz-smoke:
 	$(GO) test ./internal/measure -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime 10s
 	$(GO) test ./internal/measure -run '^$$' -fuzz '^FuzzReadRecords$$' -fuzztime 10s
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzSegmentIndexTornTail$$' -fuzztime 10s
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzJobSpecDecode$$' -fuzztime 10s
 	$(GO) test ./internal/lint -run '^$$' -fuzz '^FuzzWireLockParse$$' -fuzztime 10s
 
 clean:

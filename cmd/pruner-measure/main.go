@@ -78,7 +78,10 @@ func main() {
 		handler = mux
 		logger.Info("pprof enabled", "path", "/debug/pprof/")
 	}
-	httpSrv := &http.Server{Handler: handler}
+	// The header timeout bounds how long a client may dribble request
+	// headers before the connection is dropped (slowloris); the /measure
+	// body size is bounded by the worker itself.
+	httpSrv := &http.Server{Handler: handler, ReadHeaderTimeout: 10 * time.Second}
 	errCh := make(chan error, 1)
 	//pruner:allow rawgo — the HTTP serve loop blocks until shutdown; main stays on the signal select
 	go func() { errCh <- httpSrv.Serve(ln) }()

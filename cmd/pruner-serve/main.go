@@ -107,7 +107,10 @@ func main() {
 		handler = withPprof(handler)
 		logger.Info("pprof enabled", "path", "/debug/pprof/")
 	}
-	httpSrv := &http.Server{Addr: *addr, Handler: handler}
+	// The header timeout bounds how long a client may dribble request
+	// headers before the connection is dropped (slowloris); body sizes are
+	// bounded per handler.
+	httpSrv := &http.Server{Addr: *addr, Handler: handler, ReadHeaderTimeout: 10 * time.Second}
 	errCh := make(chan error, 1)
 	//pruner:allow rawgo — the HTTP serve loop blocks until shutdown; main stays on the signal select
 	go func() { errCh <- httpSrv.ListenAndServe() }()

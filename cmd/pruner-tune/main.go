@@ -21,8 +21,8 @@ import (
 	"strings"
 
 	"pruner"
+	"pruner/internal/measure"
 	"pruner/internal/parallel"
-	"pruner/internal/tuner"
 )
 
 func main() {
@@ -163,7 +163,7 @@ func main() {
 		s := &session{}
 		cfg := cfg
 		if resumeData != nil {
-			warm, err := tuner.ReadRecords(bytes.NewReader(resumeData),
+			warm, err := measure.ReadRecords(bytes.NewReader(resumeData),
 				networks[i].Representative(cfg.MaxTasks))
 			if err != nil {
 				s.err = fmt.Errorf("resume %s: %w", *resume, err)
@@ -226,7 +226,7 @@ func main() {
 				continue
 			}
 			recs := s.res.Records[s.res.Warm:]
-			fatalIf(tuner.WriteRecords(f, recs))
+			fatalIf(measure.WriteRecords(f, recs))
 			logged += len(recs)
 		}
 		fatalIf(f.Close())

@@ -10,13 +10,16 @@ import (
 	"pruner/internal/schedule"
 )
 
-// The batched, no-tape inference engine behind every learned model's
-// Predict: candidates are lowered once (through the round's memo when the
-// tuner injected one), their feature rows concatenate into a few large
-// fused GEMMs per chunk, and per-candidate scores fall out of segmented
-// reductions. The engine is bitwise identical to the per-candidate
-// reference path (predictReference) — pinned by TestPredictBatchedMatchesReference
-// — so swapping it in changes verify-stage wall-clock only, never a score.
+// The batched inference path behind every learned model's Predict.
+// Each model writes its batched forward once (learned.go) over an
+// nn.Exec: Fit runs it on the tape, Predict runs it here on pooled
+// nn.Scratch arenas under FreezeParams. Candidates are lowered once
+// (through the round's memo when the tuner injected one), their feature
+// rows concatenate into a few large fused GEMMs per chunk, and
+// per-candidate scores fall out of segmented reductions. The result is
+// bitwise identical to the per-candidate reference path
+// (predictReference) — pinned by TestPredictBatchedMatchesReference — so
+// batching changes verify-stage wall-clock only, never a score.
 
 // MemoUser is implemented by models whose Predict can reuse a
 // caller-provided lowering memo. The tuner injects a fresh memo each
@@ -26,7 +29,7 @@ type MemoUser interface {
 	SetMemo(m *schedule.Memo)
 }
 
-// batchChunk is the number of candidates fused into one engine dispatch.
+// batchChunk is the number of candidates fused into one forward call.
 // Chunks are the unit fanned across the session pool; a fixed size keeps
 // the grouping — and therefore every intermediate tensor — independent of
 // the worker count. Each candidate's score depends only on its own rows,
@@ -34,15 +37,16 @@ type MemoUser interface {
 // overhead while keeping chunk working sets cache-sized.
 const batchChunk = 64
 
-// batchForward scores one chunk of lowered candidates; implementations
-// are pure functions of frozen snapshots and safe for concurrent use.
-type batchForward func(lws []*schedule.Lowered) []float64
+// forwardFn is a model's one batched forward: it scores a batch of
+// lowered programs of one task as an (N x 1) column. On nn.Tape{} it
+// records the gradient graph training needs; on a warmed *nn.Scratch it
+// runs allocation-free.
+type forwardFn func(e nn.Exec, lws []*schedule.Lowered) *nn.Tensor
 
-// predictBatched is the engine driver: it freezes the model's parameters
-// for the duration, builds the frozen forward once (freeze runs after the
-// parameters are frozen, so snapshots see inference-mode weights), then
-// fans fixed-size candidate chunks across the pool.
-func predictBatched(pool *parallel.Pool, params []*nn.Tensor, memo *schedule.Memo, t *ir.Task, schs []*schedule.Schedule, freeze func() batchForward) []float64 {
+// predictBatched runs batched inference: it freezes the model's
+// parameters for the duration, then fans fixed-size candidate chunks
+// across the pool, each scored by forward on an arena of its own.
+func predictBatched(pool *parallel.Pool, params []*nn.Tensor, memo *schedule.Memo, t *ir.Task, schs []*schedule.Schedule, forward forwardFn) []float64 {
 	if len(schs) == 0 {
 		return nil
 	}
@@ -50,7 +54,6 @@ func predictBatched(pool *parallel.Pool, params []*nn.Tensor, memo *schedule.Mem
 		pool = parallel.Default()
 	}
 	defer nn.FreezeParams(params)()
-	fwd := freeze()
 	out := make([]float64, len(schs))
 	chunks := (len(schs) + batchChunk - 1) / batchChunk
 	pool.ForEach(chunks, func(c int) {
@@ -63,17 +66,22 @@ func predictBatched(pool *parallel.Pool, params []*nn.Tensor, memo *schedule.Mem
 		for i := range lws {
 			lws[i] = memo.Lower(t, schs[lo+i])
 		}
-		copy(out[lo:hi], fwd(lws))
+		s := getScratch()
+		defer putScratch(s)
+		scores := forward(s, lws)
+		for i := range lws {
+			out[lo+i] = scores.At(i, 0)
+		}
 	})
 	return out
 }
 
 // scratchPool is a typed free list of inference arenas, one drawn per
-// engine dispatch. A plain mutex-guarded slice rather than sync.Pool:
-// Put/Get on a sync.Pool box the pointer through an interface (an
-// allocation per dispatch — exactly what the arena exists to avoid), and
-// the GC may drop pooled arenas between rounds, refuting the warm-state
-// guarantee the AllocsPerRun gates measure.
+// chunk. A plain mutex-guarded slice rather than sync.Pool: Put/Get on a
+// sync.Pool box the pointer through an interface (an allocation per
+// chunk — exactly what the arena exists to avoid), and the GC may drop
+// pooled arenas between rounds, refuting the warm-state guarantee the
+// AllocsPerRun gates measure.
 var scratchPool struct {
 	mu   sync.Mutex
 	free []*nn.Scratch
@@ -95,11 +103,11 @@ func getScratch() *nn.Scratch {
 	return s
 }
 
-// putScratch rewinds and parks an arena for the next dispatch.
+// putScratch rewinds and parks an arena for the next chunk.
 func putScratch(s *nn.Scratch) {
 	s.Reset()
 	scratchPool.mu.Lock()
-	scratchPool.free = append(scratchPool.free, s) //pruner:allow hotalloc — free-list growth is bounded by peak dispatch concurrency, then reused forever
+	scratchPool.free = append(scratchPool.free, s)
 	scratchPool.mu.Unlock()
 }
 
@@ -117,134 +125,7 @@ func statementBatch(lws []*schedule.Lowered) ([][]float64, []int) {
 	return rows, lens
 }
 
-// scoresOut copies the (N x 1) score column into a plain slice.
-func scoresOut(scores *nn.Tensor) []float64 {
-	out := make([]float64, scores.R)
-	for i := range out {
-		out[i] = scores.At(i, 0)
-	}
-	return out
-}
-
-// tensetEngine is the frozen inference program of a TenSetMLP.
-type tensetEngine struct {
-	embed, head *nn.FrozenMLP
-}
-
-func (m *TenSetMLP) freeze() batchForward {
-	e := &tensetEngine{embed: m.embed.Freeze(), head: m.head.Freeze()}
-	return e.run
-}
-
-// run scores one chunk end to end on a pooled arena: feature rows
-// concatenate, embed, pool per candidate, head. Steady-state it performs
-// no heap allocations beyond the lens/rows headers and the score copy.
-//
-//pruner:hotpath
-func (e *tensetEngine) run(lws []*schedule.Lowered) []float64 {
-	s := getScratch()
-	defer putScratch(s)
-	rows, lens := statementBatch(lws)
-	emb := e.embed.ForwardReLURowsIn(s, rows)
-	return scoresOut(e.head.ForwardIn(s, nn.SegmentSumRowsIn(s, emb, lens)))
-}
-
-// pacmEngine is the frozen inference program of a PaCM, honouring the
-// model's branch ablation flags.
-type pacmEngine struct {
-	useStmt, useDf bool
-	stmt           *nn.FrozenMLP
-	proj           *nn.FrozenLinear
-	attn           *nn.FrozenAttention
-	head           *nn.FrozenMLP
-}
-
-func (m *PaCM) freeze() batchForward {
-	e := &pacmEngine{
-		useStmt: m.UseStatement,
-		useDf:   m.UseDataflow,
-		head:    m.head.Freeze(),
-	}
-	if m.UseStatement {
-		e.stmt = m.stmtEmbed.Freeze()
-	}
-	if m.UseDataflow {
-		e.proj = m.dfProj.Freeze()
-		e.attn = m.dfAttn.Freeze()
-	}
-	return e.run
-}
-
-// run scores one chunk on a pooled arena, honouring the branch ablation
-// flags; see tensetEngine.run for the allocation contract.
-//
-//pruner:hotpath
-func (e *pacmEngine) run(lws []*schedule.Lowered) []float64 {
-	s := getScratch()
-	defer putScratch(s)
-	var parts *nn.Tensor
-	if e.useStmt {
-		rows, lens := statementBatch(lws)
-		parts = nn.SegmentSumRowsIn(s, e.stmt.ForwardReLURowsIn(s, rows), lens)
-	}
-	if e.useDf {
-		lens := make([]int, len(lws))
-		rows := make([][]float64, 0, len(lws)*features.DataflowSeq)
-		for i, lw := range lws {
-			rows = append(rows, features.Dataflow(lw)...)
-			lens[i] = features.DataflowSeq
-		}
-		// Dataflow sequences are zero-padded to a fixed length, so a large
-		// share of rows across the chunk are identical; project distinct
-		// rows once and gather.
-		uniq, idx := nn.DedupRows(rows)
-		tokens := nn.TanhIn(s, e.proj.ForwardRowsIn(s, uniq))
-		ctx := nn.SegmentMeanRowsIn(s, e.attn.ForwardSegmentsDedupIn(s, tokens, idx, lens), lens)
-		if parts == nil {
-			parts = ctx
-		} else {
-			parts = nn.ConcatColsIn(s, parts, ctx)
-		}
-	}
-	return scoresOut(e.head.ForwardIn(s, parts))
-}
-
-// tlpEngine is the frozen inference program of a TLP.
-type tlpEngine struct {
-	proj *nn.FrozenLinear
-	attn *nn.FrozenAttention
-	head *nn.FrozenMLP
-}
-
-func (m *TLP) freeze() batchForward {
-	e := &tlpEngine{proj: m.proj.Freeze(), attn: m.attn.Freeze(), head: m.head.Freeze()}
-	return e.run
-}
-
-// run scores one chunk on a pooled arena; see tensetEngine.run for the
-// allocation contract.
-//
-//pruner:hotpath
-func (e *tlpEngine) run(lws []*schedule.Lowered) []float64 {
-	s := getScratch()
-	defer putScratch(s)
-	lens := make([]int, len(lws))
-	rows := make([][]float64, 0, len(lws)*features.PrimSeq)
-	for i, lw := range lws {
-		r := features.Primitives(lw)
-		rows = append(rows, r...)
-		lens[i] = len(r)
-	}
-	// TLP tokens are near-constant one-hots where only split factors vary
-	// (the model's documented low feature diversity) — the same token rows
-	// recur across the whole chunk, so the projection and the attention's
-	// Q/K/V run once per distinct row.
-	uniq, idx := nn.DedupRows(rows)
-	x := e.attn.ForwardSegmentsDedupIn(s, e.proj.ForwardRowsIn(s, uniq), idx, lens)
-	return scoresOut(e.head.ForwardIn(s, nn.SegmentMeanRowsIn(s, x, lens)))
-}
-
-// predictReference is the per-candidate baseline the engine replaced: one
+// predictReference is the per-candidate baseline batching replaced: one
 // tape-free forward per schedule, fanned over the pool. It is retained as
 // the ground truth for the bitwise-equivalence tests and the
 // BenchmarkPredictBatched before/after comparison.

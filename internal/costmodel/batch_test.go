@@ -13,31 +13,33 @@ import (
 )
 
 // learnedModel is the slice of Model the engine tests need: Predict plus
-// access to the per-candidate reference forward.
+// access to the batched and per-candidate reference forwards.
 type learnedModel interface {
 	Model
 	PoolUser
 	MemoUser
 }
 
-func engineModels() map[string]struct {
-	m   learnedModel
-	one func(*schedule.Lowered) *nn.Tensor
-} {
+// engineModel pairs a learned model with its batched forward and its
+// per-candidate reference forward.
+type engineModel struct {
+	m       learnedModel
+	forward forwardFn
+	one     func(*schedule.Lowered) *nn.Tensor
+}
+
+func engineModels() map[string]engineModel {
 	mlp := NewTenSetMLP(11)
 	pacm := NewPaCM(12)
 	noSF := NewPaCMAblated(13, false, true)
 	noTDF := NewPaCMAblated(14, true, false)
 	tlp := NewTLP(15)
-	return map[string]struct {
-		m   learnedModel
-		one func(*schedule.Lowered) *nn.Tensor
-	}{
-		"tensetmlp":   {mlp, mlp.forwardOne},
-		"pacm":        {pacm, pacm.forwardOne},
-		"pacm-no-sf":  {noSF, noSF.forwardOne},
-		"pacm-no-tdf": {noTDF, noTDF.forwardOne},
-		"tlp":         {tlp, tlp.forwardOne},
+	return map[string]engineModel{
+		"tensetmlp":   {mlp, mlp.forward, mlp.forwardOne},
+		"pacm":        {pacm, pacm.forward, pacm.forwardOne},
+		"pacm-no-sf":  {noSF, noSF.forward, noSF.forwardOne},
+		"pacm-no-tdf": {noTDF, noTDF.forward, noTDF.forwardOne},
+		"tlp":         {tlp, tlp.forward, tlp.forwardOne},
 	}
 }
 
@@ -104,9 +106,9 @@ func TestPredictBatchedUsesMemo(t *testing.T) {
 	}
 }
 
-// TestPredictAfterFitStaysConsistent guards the freeze-snapshot design:
-// snapshots are rebuilt per Predict call, so training between calls must
-// be reflected (no stale frozen weights).
+// TestPredictAfterFitStaysConsistent guards against stale weights: the
+// arena executor reads the live parameters on every Predict call, so
+// training between calls must be reflected.
 func TestPredictAfterFitStaysConsistent(t *testing.T) {
 	task := ir.NewMatMul(128, 128, 128, ir.FP32, 1)
 	schs := sampleSchedules(task, 16, 35)

@@ -11,9 +11,9 @@ import (
 
 // perRecordForward composes the pre-engine training forward: one small
 // gradient graph per record, concatenated — what the models ran before
-// the batched group forwards.
+// the batched group forwards. It always runs on the tape.
 func perRecordForward(one func(*schedule.Lowered) *nn.Tensor) forwardFn {
-	return func(lws []*schedule.Lowered) *nn.Tensor {
+	return func(_ nn.Exec, lws []*schedule.Lowered) *nn.Tensor {
 		outs := make([]*nn.Tensor, len(lws))
 		for i, lw := range lws {
 			outs[i] = one(lw)

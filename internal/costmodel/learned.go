@@ -71,16 +71,16 @@ func (m *TenSetMLP) forwardOne(lw *schedule.Lowered) *nn.Tensor {
 	return m.head.Forward(nn.SumRows(emb))
 }
 
-// forward is the batched training forward: the whole group's statement
-// rows run through the embedding in one fused pair of GEMMs and pool via
-// a segmented reduction — the training-path mirror of the batched
-// inference engine (batch.go). Row-wise ops and the order-preserving
-// SegmentSumRows keep the forward values bitwise identical to the
-// per-candidate composition forwardOne computes.
-func (m *TenSetMLP) forward(lws []*schedule.Lowered) *nn.Tensor {
+// forward is the model's one batched forward, run on the tape by Fit and
+// on an arena by Predict: the whole batch's statement rows run through
+// the embedding in one fused pair of GEMMs and pool per candidate via a
+// segmented sum. Row-wise ops and the order-preserving segment reduction
+// keep each score bitwise identical to forwardOne.
+//
+//pruner:hotpath
+func (m *TenSetMLP) forward(e nn.Exec, lws []*schedule.Lowered) *nn.Tensor {
 	rows, lens := statementBatch(lws)
-	emb := m.embed.ForwardReLU(nn.FromRows(rows))
-	return m.head.Forward(nn.SegmentSumRows(emb, lens))
+	return e.MLP(m.head, e.SegmentSum(e.MLPReLURows(m.embed, rows), lens))
 }
 
 // trainer lazily builds the model's parallel training state: replicas of
@@ -96,12 +96,12 @@ func (m *TenSetMLP) trainer() *trainer {
 	return m.tr
 }
 
-// Predict implements Model: candidates run through the batched no-tape
-// inference engine (batch.go), bitwise identical to the per-candidate
-// reference path.
+// Predict implements Model: candidates run through forward on the
+// batched inference path (batch.go), bitwise identical to the
+// per-candidate reference path.
 func (m *TenSetMLP) Predict(t *ir.Task, schs []*schedule.Schedule) []float64 {
 	return m.mo.predict(len(schs), func() []float64 {
-		return predictBatched(m.pool, m.Params(), m.memo, t, schs, m.freeze)
+		return predictBatched(m.pool, m.Params(), m.memo, t, schs, m.forward)
 	})
 }
 
@@ -232,16 +232,18 @@ func (m *PaCM) forwardOne(lw *schedule.Lowered) *nn.Tensor {
 	return m.head.Forward(parts)
 }
 
-// forward is the batched training forward (see TenSetMLP.forward): the
-// statement branch pools fused embeddings with a segmented sum; the
-// dataflow branch deduplicates the zero-padded rows, projects each
-// distinct row once, and runs the gradient-aware segment attention.
-func (m *PaCM) forward(lws []*schedule.Lowered) *nn.Tensor {
+// forward is the model's one batched forward (see TenSetMLP.forward),
+// honouring the branch ablation flags: the statement branch pools fused
+// embeddings with a segmented sum; the dataflow branch deduplicates the
+// zero-padded rows — a large share of rows across a batch are identical
+// — projects each distinct row once, and runs the segment attention.
+//
+//pruner:hotpath
+func (m *PaCM) forward(e nn.Exec, lws []*schedule.Lowered) *nn.Tensor {
 	var parts *nn.Tensor
 	if m.UseStatement {
 		rows, lens := statementBatch(lws)
-		emb := m.stmtEmbed.ForwardReLU(nn.FromRows(rows))
-		parts = nn.SegmentSumRows(emb, lens)
+		parts = e.SegmentSum(e.MLPReLURows(m.stmtEmbed, rows), lens)
 	}
 	if m.UseDataflow {
 		lens := make([]int, len(lws))
@@ -251,15 +253,15 @@ func (m *PaCM) forward(lws []*schedule.Lowered) *nn.Tensor {
 			lens[i] = features.DataflowSeq
 		}
 		uniq, idx := nn.DedupRows(rows)
-		tokens := nn.Tanh(m.dfProj.Forward(nn.FromRows(uniq)))
-		ctx := nn.SegmentMeanRows(m.dfAttn.ForwardSegmentsDedup(tokens, idx, lens), lens)
+		tokens := e.Tanh(e.LinearRows(m.dfProj, uniq))
+		ctx := e.SegmentMean(e.AttentionDedup(m.dfAttn, tokens, idx, lens), lens)
 		if parts == nil {
 			parts = ctx
 		} else {
-			parts = nn.ConcatCols(parts, ctx)
+			parts = e.ConcatCols(parts, ctx)
 		}
 	}
-	return m.head.Forward(parts)
+	return e.MLP(m.head, parts)
 }
 
 // trainer lazily builds the model's parallel training state; replicas
@@ -275,12 +277,12 @@ func (m *PaCM) trainer() *trainer {
 	return m.tr
 }
 
-// Predict implements Model: candidates run through the batched no-tape
-// inference engine (batch.go), bitwise identical to the per-candidate
-// reference path.
+// Predict implements Model: candidates run through forward on the
+// batched inference path (batch.go), bitwise identical to the
+// per-candidate reference path.
 func (m *PaCM) Predict(t *ir.Task, schs []*schedule.Schedule) []float64 {
 	return m.mo.predict(len(schs), func() []float64 {
-		return predictBatched(m.pool, m.Params(), m.memo, t, schs, m.freeze)
+		return predictBatched(m.pool, m.Params(), m.memo, t, schs, m.forward)
 	})
 }
 
@@ -358,12 +360,14 @@ func (m *TLP) forwardOne(lw *schedule.Lowered) *nn.Tensor {
 	return m.head.Forward(nn.MeanRows(x))
 }
 
-// forward is the batched training forward: primitive tokens are
-// near-constant one-hots that repeat heavily across a group, so the
-// projection and the attention's Q/K/V run once per distinct row
-// (gradient-aware dedup) and the per-candidate score means fall out of a
-// segmented reduction.
-func (m *TLP) forward(lws []*schedule.Lowered) *nn.Tensor {
+// forward is the model's one batched forward (see TenSetMLP.forward):
+// primitive tokens are near-constant one-hots that repeat heavily across
+// a batch, so the projection and the attention's Q/K/V run once per
+// distinct row and the per-candidate score means fall out of a segmented
+// reduction.
+//
+//pruner:hotpath
+func (m *TLP) forward(e nn.Exec, lws []*schedule.Lowered) *nn.Tensor {
 	lens := make([]int, len(lws))
 	rows := make([][]float64, 0, len(lws)*features.PrimSeq)
 	for i, lw := range lws {
@@ -372,9 +376,8 @@ func (m *TLP) forward(lws []*schedule.Lowered) *nn.Tensor {
 		lens[i] = len(r)
 	}
 	uniq, idx := nn.DedupRows(rows)
-	tokens := m.proj.Forward(nn.FromRows(uniq))
-	x := m.attn.ForwardSegmentsDedup(tokens, idx, lens)
-	return m.head.Forward(nn.SegmentMeanRows(x, lens))
+	x := e.AttentionDedup(m.attn, e.LinearRows(m.proj, uniq), idx, lens)
+	return e.MLP(m.head, e.SegmentMean(x, lens))
 }
 
 // trainer lazily builds the model's parallel training state.
@@ -389,12 +392,12 @@ func (m *TLP) trainer() *trainer {
 	return m.tr
 }
 
-// Predict implements Model: candidates run through the batched no-tape
-// inference engine (batch.go), bitwise identical to the per-candidate
-// reference path.
+// Predict implements Model: candidates run through forward on the
+// batched inference path (batch.go), bitwise identical to the
+// per-candidate reference path.
 func (m *TLP) Predict(t *ir.Task, schs []*schedule.Schedule) []float64 {
 	return m.mo.predict(len(schs), func() []float64 {
-		return predictBatched(m.pool, m.Params(), m.memo, t, schs, m.freeze)
+		return predictBatched(m.pool, m.Params(), m.memo, t, schs, m.forward)
 	})
 }
 

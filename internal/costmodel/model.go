@@ -144,10 +144,6 @@ func groupByTask(recs []Record) []group {
 	return groups
 }
 
-// forwardFn scores a batch of lowered programs of one task, building a
-// gradient graph when the model is training.
-type forwardFn func(lws []*schedule.Lowered) *nn.Tensor
-
 // trainBatch is one group's ready-to-train slice of an epoch: the
 // (possibly subsampled) records plus their relevance labels. Batches are
 // composed on the serial path — every random draw happens there — and
@@ -192,7 +188,7 @@ func epochBatches(groups []group, opt FitOptions, rng *rand.Rand) []trainBatch {
 // and applied with one Adam step per macro-batch. Because every random
 // draw stays on the serial path and the reduction order is fixed, the
 // fitted parameters are bitwise identical at any worker count — the same
-// bar the batched inference engine holds (TestFitDeterministicAcrossWorkers).
+// bar batched inference holds (TestFitDeterministicAcrossWorkers).
 func rankFit(recs []Record, opt FitOptions, adam *nn.Adam, pool *parallel.Pool, seed int64, tr *trainer) FitReport {
 	opt = opt.withDefaults()
 	groups := groupByTask(recs)
@@ -232,7 +228,7 @@ func rankFit(recs []Record, opt FitOptions, adam *nn.Adam, pool *parallel.Pool, 
 				slot.Zero()
 				rep := tr.checkout()
 				slot.Bind(rep.params)
-				loss := nn.LambdaRankLoss(rep.forward(lws), b.rel)
+				loss := nn.LambdaRankLoss(rep.forward(nn.Tape{}, lws), b.rel)
 				nn.Backward(loss)
 				tr.checkin(rep)
 				losses[j] = loss.Data[0]
@@ -284,7 +280,7 @@ func rankFitReference(recs []Record, opt FitOptions, adam *nn.Adam, forward forw
 				lws[i] = memo.Lower(b.task, r.Sched)
 			}
 			adam.ZeroGrad()
-			loss := nn.LambdaRankLoss(forward(lws), b.rel)
+			loss := nn.LambdaRankLoss(forward(nn.Tape{}, lws), b.rel)
 			nn.Backward(loss)
 			adam.Step()
 			epochLoss += loss.Data[0]

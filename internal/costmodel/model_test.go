@@ -8,6 +8,7 @@ import (
 	"pruner/internal/analyzer"
 	"pruner/internal/device"
 	"pruner/internal/ir"
+	"pruner/internal/nn"
 	"pruner/internal/parallel"
 	"pruner/internal/schedule"
 	"pruner/internal/simulator"
@@ -107,27 +108,39 @@ func TestModelsLearnToRank(t *testing.T) {
 	}
 }
 
+// TestPredictParallelMatchesSerial pins Predict to the models' one
+// batched forward: for every learned model and ablation, the pooled
+// Predict, a forced-serial Predict and forward on the tape executor
+// return the same bits — with the parameters frozen (inference mode) and
+// with gradients enabled (the training forward Fit runs).
 func TestPredictParallelMatchesSerial(t *testing.T) {
 	task := ir.NewMatMul(128, 128, 128, ir.FP32, 0)
 	g := schedule.NewGenerator(task)
 	rng := rand.New(rand.NewSource(8))
 	schs := g.InitPopulation(rng, 40)
-	m := NewPaCM(9)
-	a := m.Predict(task, schs) // default (machine-wide) pool
-	m.SetPool(parallel.New(1))
-	b := m.Predict(task, schs) // forced-serial session pool
-	// Cross-check both against the batched training-mode forward.
 	lws := make([]*schedule.Lowered, len(schs))
 	for i, s := range schs {
 		lws[i] = schedule.Lower(task, s)
 	}
-	batched := m.forward(lws)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("parallel vs serial predictions differ at %d: %g vs %g", i, a[i], b[i])
-		}
-		if math.Abs(a[i]-batched.At(i, 0)) > 1e-12 {
-			t.Fatalf("pooled vs batched forward differ at %d: %g vs %g", i, a[i], batched.At(i, 0))
+	for name, tc := range engineModels() {
+		a := tc.m.Predict(task, schs) // default (machine-wide) pool
+		tc.m.SetPool(parallel.New(1))
+		b := tc.m.Predict(task, schs) // forced-serial session pool
+		restore := nn.FreezeParams(tc.m.Params())
+		frozen := tc.forward(nn.Tape{}, lws)
+		restore()
+		training := tc.forward(nn.Tape{}, lws)
+		for i := range a {
+			bits := math.Float64bits(a[i])
+			if bits != math.Float64bits(b[i]) {
+				t.Fatalf("%s: parallel vs serial predictions differ at %d: %g vs %g", name, i, a[i], b[i])
+			}
+			if bits != math.Float64bits(frozen.At(i, 0)) {
+				t.Fatalf("%s: Predict vs frozen tape forward differ at %d: %g vs %g", name, i, a[i], frozen.At(i, 0))
+			}
+			if bits != math.Float64bits(training.At(i, 0)) {
+				t.Fatalf("%s: Predict vs training tape forward differ at %d: %g vs %g", name, i, a[i], training.At(i, 0))
+			}
 		}
 	}
 }

@@ -97,6 +97,12 @@ func ReadRecords(r io.Reader, tasks []*ir.Task) ([]costmodel.Record, error) {
 		}
 		var line recordJSON
 		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+			// A read error hands the scanner's partial last line over as
+			// a token; report the read error (e.g. a body-size limit),
+			// not the torn line it caused.
+			if rerr := sc.Err(); rerr != nil {
+				return nil, rerr
+			}
 			return nil, fmt.Errorf("measure: record line %d: %w", lineNo, err)
 		}
 		task, ok := byID[line.TaskID]

@@ -51,6 +51,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add(math.Float64bits(-1.5e-3), uint8(1))
 	f.Add(math.Float64bits(math.SmallestNonzeroFloat64), uint8(2))
 	f.Add(math.Float64bits(math.MaxFloat64), uint8(3))
+	f.Add(math.Float64bits(math.Inf(-1)), uint8(0))
 	f.Fuzz(func(t *testing.T, latBits uint64, pick uint8) {
 		lat := math.Float64frombits(latBits)
 		rec := costmodel.Record{Task: task, Sched: schs[int(pick)%len(schs)], Latency: lat}

@@ -3,10 +3,13 @@ package measure
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"pruner/internal/costmodel"
@@ -92,6 +95,66 @@ func TestCodecLegacyLinesStillRead(t *testing.T) {
 	}
 	if len(got) != 1 || got[0].Latency != 2.5e-3 {
 		t.Fatalf("legacy line decoded as %+v", got)
+	}
+}
+
+// TestReadRecordsSkipsUnknownTasks pins task resolution on read: a log
+// spanning several tasks reads back in order against the full task set,
+// and records of tasks outside the set are skipped (a log may cover more
+// networks than the current session).
+func TestReadRecordsSkipsUnknownTasks(t *testing.T) {
+	mm, schs := testBatch(t, 2)
+	conv := ir.NewConv2D(ir.Conv2DShape{
+		N: 1, H: 28, W: 28, CI: 64, CO: 64, KH: 3, KW: 3, Stride: 1, Pad: 1,
+	}, ir.FP32, 0)
+	recs := []costmodel.Record{
+		{Task: mm, Sched: schs[0], Latency: 1e-4},
+		{Task: conv, Sched: schedule.NewGenerator(conv).Random(rand.New(rand.NewSource(1))), Latency: 2e-4},
+		{Task: mm, Sched: schs[1], Latency: math.Inf(1)},
+	}
+	var buf bytes.Buffer
+	if err := WriteRecords(&buf, recs); err != nil {
+		t.Fatal(err)
+	}
+	all, err := ReadRecords(bytes.NewReader(buf.Bytes()), []*ir.Task{mm, conv})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) != len(recs) {
+		t.Fatalf("read %d records against every task, want %d", len(all), len(recs))
+	}
+	for i, r := range all {
+		if r.Task != recs[i].Task || r.Sched.Fingerprint() != recs[i].Sched.Fingerprint() {
+			t.Fatalf("record %d: task or schedule changed across round trip", i)
+		}
+	}
+	got, err := ReadRecords(bytes.NewReader(buf.Bytes()), []*ir.Task{mm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range got {
+		if r.Task != mm {
+			t.Fatal("unknown task leaked through")
+		}
+	}
+	if len(got) != 2 {
+		t.Fatalf("expected 2 matmul records, got %d", len(got))
+	}
+}
+
+// TestReadRecordsRejectsCorruptLines pins that a log with a malformed
+// line, or a schedule that does not fit its task, fails to read instead
+// of yielding a partial or wrong record set.
+func TestReadRecordsRejectsCorruptLines(t *testing.T) {
+	task := ir.NewMatMul(128, 128, 128, ir.FP32, 1)
+	tasks := []*ir.Task{task}
+	if _, err := ReadRecords(strings.NewReader("{not json"), tasks); err == nil {
+		t.Fatal("corrupt line should error")
+	}
+	// A structurally valid line with tiles that don't match the task.
+	bad := `{"task_id":"` + task.ID + `","spatial_tiles":[[1,1,1,1,1]],"reduce_tiles":[[128,1,1]],"vector_len":1}`
+	if _, err := ReadRecords(strings.NewReader(bad), tasks); err == nil {
+		t.Fatal("schedule/task mismatch should error")
 	}
 }
 
@@ -234,6 +297,45 @@ func TestSimAdapterMatchesMeasureMemoPool(t *testing.T) {
 }
 
 // TestWorkerRejectsGarbage pins the worker's input validation.
+// TestWorkerRejectsOversizedBody pins the /measure body bound: a batch
+// or a header line larger than maxMeasureBody is refused with 413 and a
+// stated reason, and the worker goes on serving normal batches.
+func TestWorkerRejectsOversizedBody(t *testing.T) {
+	ws := httptest.NewServer(NewWorker(WorkerOptions{}).Handler())
+	defer ws.Close()
+	task, schs := testBatch(t, 1)
+	small, err := encodeRequest(Request{Device: "t4", Task: task, Batch: schs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := small[bytes.IndexByte(small, '\n')+1:]
+	post := func(body []byte) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ws.URL+"/measure", "application/x-ndjson", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var e struct {
+			Error string `json:"error"`
+		}
+		json.NewDecoder(resp.Body).Decode(&e)
+		return resp.StatusCode, e.Error
+	}
+	want := fmt.Sprintf("request body exceeds %d bytes", maxMeasureBody)
+	for name, body := range map[string][]byte{
+		"long batch":  append(bytes.Clone(small), bytes.Repeat(line, maxMeasureBody/len(line))...),
+		"long header": append([]byte(`{"device":"`), bytes.Repeat([]byte("x"), maxMeasureBody)...),
+	} {
+		if code, msg := post(body); code != http.StatusRequestEntityTooLarge || msg != want {
+			t.Errorf("%s: status %d %q, want 413 %q", name, code, msg, want)
+		}
+	}
+	if code, msg := post(small); code != http.StatusOK {
+		t.Fatalf("normal batch after oversized ones: status %d %q", code, msg)
+	}
+}
+
 func TestWorkerRejectsGarbage(t *testing.T) {
 	ws := httptest.NewServer(NewWorker(WorkerOptions{}).Handler())
 	defer ws.Close()

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -140,14 +141,35 @@ func (w *Worker) Handler() http.Handler {
 	return mux
 }
 
+// maxMeasureBody bounds a /measure request body. The largest batch the
+// code sends is one tuning round of BatchSize schedules, and the daemon
+// caps BatchSize at a job's trial budget (-max-trials, default 2000). The
+// worst case over every built-in workload task is a 681-byte header line
+// plus 270 bytes per record line, so that batch is about 0.55 MB; 8 MiB
+// leaves 15x headroom (about 31,000 schedules).
+const maxMeasureBody = 8 << 20
+
+// bodyError answers a failed request-body read: 413 with the limit when
+// the body outgrew maxMeasureBody, 400 naming what was being read
+// otherwise.
+func bodyError(rw http.ResponseWriter, what string, err error) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		workerError(rw, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+		return
+	}
+	workerError(rw, http.StatusBadRequest, "%s: %v", what, err)
+}
+
 func (w *Worker) handleMeasure(rw http.ResponseWriter, r *http.Request) {
 	w.busy.Add(1)
 	defer w.busy.Add(-1)
 
-	br := bufio.NewReader(r.Body)
+	br := bufio.NewReader(http.MaxBytesReader(rw, r.Body, maxMeasureBody))
 	head, err := br.ReadBytes('\n')
-	if err != nil && len(head) == 0 {
-		workerError(rw, http.StatusBadRequest, "reading request header: %v", err)
+	var tooBig *http.MaxBytesError
+	if err != nil && (len(head) == 0 || errors.As(err, &tooBig)) {
+		bodyError(rw, "reading request header", err)
 		return
 	}
 	var hdr wireHeader
@@ -170,7 +192,7 @@ func (w *Worker) handleMeasure(rw http.ResponseWriter, r *http.Request) {
 	}
 	recs, err := ReadRecords(br, []*ir.Task{hdr.Task})
 	if err != nil {
-		workerError(rw, http.StatusBadRequest, "decoding batch: %v", err)
+		bodyError(rw, "decoding batch", err)
 		return
 	}
 	if len(recs) == 0 {

@@ -2,8 +2,8 @@ package nn
 
 import "sync/atomic"
 
-// Engine counters: process-wide tallies of the inference engine's hot
-// kernels. They are plain atomics rather than obs instruments so nn
+// Engine counters: process-wide tallies of the fused kernels behind both
+// executors (infer.go). They are plain atomics rather than obs instruments so nn
 // keeps zero observability dependencies — the daemons register them as
 // func-backed metrics sampled at scrape time. Counting is orthogonal to
 // determinism: the tallies never feed back into any computation.
@@ -20,7 +20,7 @@ type EngineCounters struct {
 	// GEMMRows counts output rows produced by those kernels — the
 	// engine's throughput proxy.
 	GEMMRows uint64
-	// AttnSegments counts attention segments run through the frozen
+	// AttnSegments counts attention segments run through the arena
 	// attention core.
 	AttnSegments uint64
 }

@@ -1,22 +1,22 @@
-// Inference engine: no-tape forward kernels for the verify-stage hot
-// path. A model freezes its layers into Frozen* snapshots once per
-// Predict call; the snapshots then run fused matmul-bias(-ReLU) kernels
-// over whole candidate batches. Every kernel accumulates each output
-// element in exactly the same order as the tape-based operators it
-// replaces — ascending over the contraction index — so frozen forwards
-// are bitwise identical to Module forwards under FreezeParams (the
-// property the cost-model equivalence tests pin). The kernels assume
-// finite weights: a zero activation then contributes an exact ±0.0 term,
-// which cannot perturb any partial sum, letting the inner loop run
-// branchless where the tape operator branches per term.
+// One forward, two executors. Each cost model writes its batched
+// forward once, over the Exec interface below, and the caller picks how
+// it runs: Tape records the autograd operators a training step needs,
+// while *Scratch runs no-tape fused kernels on a reusable arena for the
+// verify-stage hot path (Predict, under FreezeParams). Every Scratch
+// kernel accumulates each output element in exactly the same order as
+// the tape operators — ascending over the contraction index — so the
+// two executors produce bitwise identical values (the property the
+// cost-model equivalence tests pin). The kernels assume finite weights:
+// a zero activation then contributes an exact ±0.0 term, which cannot
+// perturb any partial sum, letting the inner loop run branchless where
+// the tape operator branches per term.
 //
-// Every kernel comes in two spellings: the plain form allocates its
-// outputs (convenient for tests and one-off calls), and the *In form
-// threads a *Scratch arena through the whole chain so a warmed call
-// performs zero heap allocations — the contract the //pruner:hotpath
-// annotations declare, the hotalloc analyzer enforces statically, and
-// the TestAlloc* gates pin dynamically. The two forms share one body
-// (plain delegates with a nil Scratch), so they cannot drift.
+// A warmed Scratch performs zero heap allocations — the contract the
+// //pruner:hotpath annotations declare, the hotalloc analyzer enforces
+// statically, and the TestAlloc* gates pin dynamically. The kernels also
+// accept a nil *Scratch, which allocates each output on the heap; the
+// tape operators run their forwards that way (see heapArena), so each
+// forward loop exists once.
 package nn
 
 import (
@@ -24,6 +24,306 @@ import (
 	"fmt"
 	"math"
 )
+
+// Exec runs the layer compositions the cost models are built from. Each
+// method's result is bitwise identical across implementations; they
+// differ only in whether a backward pass can follow.
+type Exec interface {
+	// MLP is MLP.Forward: ReLU between layers, none after the last.
+	MLP(m *MLP, x *Tensor) *Tensor
+	// MLPReLURows is MLP.ForwardReLU fed directly from feature rows:
+	// ReLU after every layer including the last.
+	MLPReLURows(m *MLP, rows [][]float64) *Tensor
+	// LinearRows is Linear.Forward fed directly from feature rows.
+	LinearRows(l *Linear, rows [][]float64) *Tensor
+	// AttentionDedup is SelfAttention.ForwardSegmentsDedup.
+	AttentionDedup(a *SelfAttention, uniq *Tensor, idx, lens []int) *Tensor
+	// SegmentSum is SegmentSumRows.
+	SegmentSum(x *Tensor, lens []int) *Tensor
+	// SegmentMean is SegmentMeanRows.
+	SegmentMean(x *Tensor, lens []int) *Tensor
+	// Tanh is Tanh.
+	Tanh(x *Tensor) *Tensor
+	// ConcatCols is ConcatCols.
+	ConcatCols(a, b *Tensor) *Tensor
+}
+
+// Tape is the training executor: each method is the autograd operator
+// composition, so the output carries the tape a Backward needs whenever
+// a parameter requires gradients.
+type Tape struct{}
+
+// MLP implements Exec.
+func (Tape) MLP(m *MLP, x *Tensor) *Tensor { return m.Forward(x) }
+
+// MLPReLURows implements Exec.
+func (Tape) MLPReLURows(m *MLP, rows [][]float64) *Tensor { return m.ForwardReLU(FromRows(rows)) }
+
+// LinearRows implements Exec.
+func (Tape) LinearRows(l *Linear, rows [][]float64) *Tensor { return l.Forward(FromRows(rows)) }
+
+// AttentionDedup implements Exec.
+func (Tape) AttentionDedup(a *SelfAttention, uniq *Tensor, idx, lens []int) *Tensor {
+	return a.ForwardSegmentsDedup(uniq, idx, lens)
+}
+
+// SegmentSum implements Exec.
+func (Tape) SegmentSum(x *Tensor, lens []int) *Tensor { return SegmentSumRows(x, lens) }
+
+// SegmentMean implements Exec.
+func (Tape) SegmentMean(x *Tensor, lens []int) *Tensor { return SegmentMeanRows(x, lens) }
+
+// Tanh implements Exec.
+func (Tape) Tanh(x *Tensor) *Tensor { return Tanh(x) }
+
+// ConcatCols implements Exec.
+func (Tape) ConcatCols(a, b *Tensor) *Tensor { return ConcatCols(a, b) }
+
+// The *Scratch methods below are the inference executor. They read the
+// modules' live weights and ignore requiresGrad, so callers run them
+// under FreezeParams; outputs alias the arena and are valid until its
+// next Reset.
+
+// MLP implements Exec. The first layer scans for structurally-zero
+// columns; deeper layers see dense activations and skip the scan.
+//
+//pruner:hotpath
+func (s *Scratch) MLP(m *MLP, x *Tensor) *Tensor {
+	for i, l := range m.Layers {
+		relu := i+1 < len(m.Layers)
+		if i == 0 {
+			x = matmulFusedIn(s, x, l.W, l.B.Data, relu)
+		} else {
+			x = matmulFusedDenseIn(s, x, l.W, l.B.Data, relu)
+		}
+	}
+	return x
+}
+
+// MLPReLURows implements Exec, with the first layer contracted over the
+// compacted columns (see LinearRows).
+//
+//pruner:hotpath
+func (s *Scratch) MLPReLURows(m *MLP, rows [][]float64) *Tensor {
+	x := s.linearRows(m.Layers[0], rows, true)
+	for _, l := range m.Layers[1:] {
+		x = matmulFusedDenseIn(s, x, l.W, l.B.Data, true)
+	}
+	return x
+}
+
+// LinearRows implements Exec: the input is compacted at copy time
+// (compactRows) and contracted against the matching weight panel.
+//
+//pruner:hotpath
+func (s *Scratch) LinearRows(l *Linear, rows [][]float64) *Tensor {
+	return s.linearRows(l, rows, false)
+}
+
+func (s *Scratch) linearRows(l *Linear, rows [][]float64, relu bool) *Tensor {
+	x, cols := compactRows(s, rows, l.W.R)
+	return matmulFusedDenseIn(s, x, gatherWeightRows(s, l.W, cols), l.B.Data, relu)
+}
+
+// dense applies a Linear layer to dense activations, skipping the
+// nonzero-column scan.
+func (s *Scratch) dense(l *Linear, x *Tensor) *Tensor {
+	return matmulFusedDenseIn(s, x, l.W, l.B.Data, false)
+}
+
+// AttentionDedup implements Exec. The Q/K/V/O projections and the
+// residual layer norm run batched across all segments, while the score
+// matmuls and softmax — the only parts that mix rows — stay
+// segment-local. The Q/K/V projections run once per distinct row of
+// uniq and are gathered back through idx, so batches whose tokens
+// repeat heavily — TLP's near-constant one-hots, PaCM's zero-padded
+// dataflow rows — skip most projection work; a projection is row-wise,
+// so projecting a representative and copying is bitwise identical to
+// projecting every duplicate.
+//
+//pruner:hotpath
+func (s *Scratch) AttentionDedup(a *SelfAttention, uniq *Tensor, idx, lens []int) *Tensor {
+	qu := s.dense(a.Q, uniq)
+	ku := s.dense(a.K, uniq)
+	vu := s.dense(a.V, uniq)
+	return s.attend(
+		a,
+		gatherRowsIn(s, uniq, idx),
+		gatherRowsIn(s, qu, idx),
+		gatherRowsIn(s, ku, idx),
+		gatherRowsIn(s, vu, idx),
+		lens,
+	)
+}
+
+// attend is the attention core over precomputed projections. Scores,
+// softmax and the value mix run on one reused scratch row per segment —
+// no per-segment tensors — with each value accumulated in the same order
+// as the operator chain it replaces
+// (SoftmaxRows(Scale(MatMul(qs, ksᵀ))) @ vs).
+func (s *Scratch) attend(a *SelfAttention, x, q, k, v *Tensor, lens []int) *Tensor {
+	engineAttnSegments.Add(uint64(len(lens)))
+	C := x.C
+	ctx := newTensor(s, x.R, C)
+	scale := 1 / math.Sqrt(float64(a.dim))
+	maxN := 0
+	for _, n := range lens {
+		maxN = max(maxN, n)
+	}
+	scratch := scratchFloats(s, 2*maxN)
+	// softmaxRow replicates SoftmaxRows' operation order on one scratch
+	// row in place.
+	softmaxRow := func(row []float64) {
+		m := math.Inf(-1)
+		for _, sv := range row {
+			m = math.Max(m, sv)
+		}
+		var sum float64
+		for jj, sv := range row {
+			e := math.Exp(sv - m)
+			row[jj] = e
+			sum += e
+		}
+		for jj := range row {
+			row[jj] /= sum
+		}
+	}
+	off := 0
+	for _, n := range lens {
+		row0, row1 := scratch[:n], scratch[maxN:maxN+n]
+		// Query rows go in pairs sharing each key/value row load.
+		r := off
+		for ; r+2 <= off+n; r += 2 {
+			q0 := q.Data[r*C : r*C+C]
+			q1 := q.Data[(r+1)*C : (r+1)*C+C]
+			// Scaled scores against the segment's keys: the full dot in
+			// ascending order, then one multiply — exactly
+			// Scale(MatMul(qs, Transpose(ks))).
+			for jj := 0; jj < n; jj++ {
+				kRow := k.Data[(off+jj)*C : (off+jj)*C+C]
+				var s0, s1 float64
+				for kk, kv := range kRow {
+					s0 += q0[kk] * kv
+					s1 += q1[kk] * kv
+				}
+				row0[jj] = s0 * scale
+				row1[jj] = s1 * scale
+			}
+			softmaxRow(row0)
+			softmaxRow(row1)
+			// ctx rows = attn @ values, ascending over the segment. A
+			// softmax weight is only zero on deep underflow; the exact
+			// ±0.0 term it then contributes is harmless (finite values).
+			c0 := ctx.Data[r*C : r*C+C]
+			c1 := ctx.Data[(r+1)*C : (r+1)*C+C]
+			for jj := 0; jj < n; jj++ {
+				a0, a1 := row0[jj], row1[jj]
+				vRow := v.Data[(off+jj)*C : (off+jj)*C+C]
+				for c2, vv := range vRow {
+					c0[c2] += a0 * vv
+					c1[c2] += a1 * vv
+				}
+			}
+		}
+		for ; r < off+n; r++ {
+			qRow := q.Data[r*C : r*C+C]
+			for jj := 0; jj < n; jj++ {
+				kRow := k.Data[(off+jj)*C : (off+jj)*C+C]
+				var sc float64
+				for kk, kv := range kRow {
+					sc += qRow[kk] * kv
+				}
+				row0[jj] = sc * scale
+			}
+			softmaxRow(row0)
+			cRow := ctx.Data[r*C : r*C+C]
+			for jj, av := range row0[:n] {
+				vRow := v.Data[(off+jj)*C : (off+jj)*C+C]
+				for c2, vv := range vRow {
+					cRow[c2] += av * vv
+				}
+			}
+		}
+		off += n
+	}
+	if off != x.R {
+		panic(fmt.Sprintf("nn: ForwardSegments lengths sum to %d, tensor has %d rows", off, x.R))
+	}
+	return addLayerNormRowsIn(s, x, s.dense(a.O, ctx), a.Norm.G, a.Norm.B)
+}
+
+// SegmentSum implements Exec: rows accumulate in order, so each output
+// row is bitwise identical to SumRows over that segment in isolation.
+//
+//pruner:hotpath
+func (s *Scratch) SegmentSum(x *Tensor, lens []int) *Tensor {
+	total := 0
+	for sg, n := range lens {
+		if n <= 0 {
+			panic(fmt.Sprintf("nn: SegmentSumRows segment %d has length %d", sg, n))
+		}
+		total += n
+	}
+	if total != x.R {
+		panic(fmt.Sprintf("nn: SegmentSumRows lengths sum to %d, tensor has %d rows", total, x.R))
+	}
+	out := newTensor(s, len(lens), x.C)
+	row := 0
+	for sg, n := range lens {
+		oRow := out.Data[sg*x.C : (sg+1)*x.C]
+		for r := 0; r < n; r++ {
+			xRow := x.Data[row*x.C : (row+1)*x.C]
+			for j, v := range xRow {
+				oRow[j] += v
+			}
+			row++
+		}
+	}
+	return out
+}
+
+// SegmentMean implements Exec: sum in row order, then one multiply by
+// the reciprocal length.
+//
+//pruner:hotpath
+func (s *Scratch) SegmentMean(x *Tensor, lens []int) *Tensor {
+	sum := s.SegmentSum(x, lens)
+	out := newTensor(s, sum.R, sum.C)
+	for sg, n := range lens {
+		inv := 1 / float64(n)
+		for j := 0; j < sum.C; j++ {
+			out.Data[sg*sum.C+j] = sum.Data[sg*sum.C+j] * inv
+		}
+	}
+	return out
+}
+
+// Tanh implements Exec.
+//
+//pruner:hotpath
+func (s *Scratch) Tanh(x *Tensor) *Tensor {
+	out := newTensor(s, x.R, x.C)
+	for i, v := range x.Data {
+		out.Data[i] = math.Tanh(v)
+	}
+	return out
+}
+
+// ConcatCols implements Exec.
+//
+//pruner:hotpath
+func (s *Scratch) ConcatCols(a, b *Tensor) *Tensor {
+	if a.R != b.R {
+		panic(fmt.Sprintf("nn: concat rows %d vs %d", a.R, b.R))
+	}
+	cols := a.C + b.C
+	out := newTensor(s, a.R, cols)
+	for i := 0; i < a.R; i++ {
+		copy(out.Data[i*cols:i*cols+a.C], a.Data[i*a.C:(i+1)*a.C])
+		copy(out.Data[i*cols+a.C:(i+1)*cols], b.Data[i*b.C:(i+1)*b.C])
+	}
+	return out
+}
 
 // RowsView returns a zero-copy view of rows [lo, hi) of x, sharing its
 // backing array. It is an inference-path helper: x must not carry
@@ -39,21 +339,16 @@ func RowsView(x *Tensor, lo, hi int) *Tensor {
 	return &Tensor{R: hi - lo, C: x.C, Data: x.Data[lo*x.C : hi*x.C]}
 }
 
-// matmulFused is the engine kernel: out = x @ w (+ bias) (then ReLU).
-// It keeps MatMul's outer-product loop order but blocks the contraction
-// index four wide, so each output element is loaded and stored once per
-// four terms instead of once per term, with four independent streams of
+// matmulFusedIn is the fused kernel: out = x @ w (+ bias) (then ReLU),
+// with the output and the nonzero-column index drawn from s. It keeps
+// MatMul's outer-product loop order but blocks the contraction index
+// four wide, so each output element is loaded and stored once per four
+// terms instead of once per term, with four independent streams of
 // b-rows. Per element the terms still add in ascending k — the chained
 // v += form — so the result is bitwise identical to
 // [ReLU](AddBias)(MatMul(x, w)) for finite w. Blocks whose four
 // activations are all zero are skipped outright (feature rows carry long
 // zero tails), matching MatMul's per-term zero-skip.
-func matmulFused(x, w *Tensor, bias []float64, relu bool) *Tensor {
-	return matmulFusedIn(nil, x, w, bias, relu)
-}
-
-// matmulFusedIn is matmulFused with the output and the nonzero-column
-// index drawn from s when non-nil.
 func matmulFusedIn(s *Scratch, x, w *Tensor, bias []float64, relu bool) *Tensor {
 	// Contract only over columns that are nonzero somewhere in the batch.
 	// Feature matrices carry long structurally-zero column runs (padding
@@ -63,16 +358,11 @@ func matmulFusedIn(s *Scratch, x, w *Tensor, bias []float64, relu bool) *Tensor 
 	return matmulFusedNz(s, x, w, bias, relu, nonzeroColsIn(s, x))
 }
 
-// matmulFusedDense is the kernel entry for activation matrices (post
+// matmulFusedDenseIn is the kernel entry for activation matrices (post
 // projection or ReLU): no structurally-zero columns worth scanning for,
 // so it contracts over every column. Processing zero terms stays
 // bitwise-safe (finite weights), so the result is identical to
-// matmulFused on the same operands.
-func matmulFusedDense(x, w *Tensor, bias []float64, relu bool) *Tensor {
-	return matmulFusedDenseIn(nil, x, w, bias, relu)
-}
-
-// matmulFusedDenseIn is matmulFusedDense over arena storage.
+// matmulFusedIn on the same operands.
 func matmulFusedDenseIn(s *Scratch, x, w *Tensor, bias []float64, relu bool) *Tensor {
 	nz := scratchInts(s, x.C)
 	for k := range nz {
@@ -180,26 +470,20 @@ func matmulFusedNz(s *Scratch, x, w *Tensor, bias []float64, relu bool, nz []int
 	return out
 }
 
-// CompactRows builds the engine's compacted input directly from feature
-// rows: columns that are zero in every row (padding tails, unused one-hot
-// slots) are dropped at copy time, so the first GEMM runs the dense
-// kernel on the surviving columns only. It returns the compacted tensor
-// and the kept column indices (ascending). Dropping an all-zero column
-// removes only exact-zero terms from every output sum, so any layer fed
-// through a correspondingly gathered weight panel (see FrozenLinear
-// ForwardRows) is bitwise identical to the full-width forward.
-func CompactRows(rows [][]float64, width int) (*Tensor, []int) {
-	return CompactRowsIn(nil, rows, width)
-}
-
-// CompactRowsIn is CompactRows over arena storage; the returned tensor
-// and column index alias s and are valid until its next Reset.
-func CompactRowsIn(s *Scratch, rows [][]float64, width int) (*Tensor, []int) {
+// compactRows builds the kernel's compacted input directly from feature
+// rows: columns that are zero in every row (padding tails, unused
+// one-hot slots) are dropped at copy time, so the first GEMM runs the
+// dense kernel on the surviving columns only. It returns the compacted
+// tensor and the kept column indices (ascending). Dropping an all-zero
+// column removes only exact-zero terms from every output sum, so a layer
+// fed through the correspondingly gathered weight panel is bitwise
+// identical to the full-width forward.
+func compactRows(s *Scratch, rows [][]float64, width int) (*Tensor, []int) {
 	used := scratchInts(s, width)
 	cnt := 0
 	for _, r := range rows {
 		if len(r) != width {
-			panic(fmt.Sprintf("nn: CompactRows ragged row %d vs %d", len(r), width))
+			panic(fmt.Sprintf("nn: compactRows ragged row %d vs %d", len(r), width))
 		}
 		if cnt == width {
 			break
@@ -232,7 +516,7 @@ func CompactRowsIn(s *Scratch, rows [][]float64, width int) (*Tensor, []int) {
 }
 
 // gatherWeightRows copies the weight rows selected by cols into one
-// contiguous panel matching a CompactRows input.
+// contiguous panel matching a compactRows input.
 func gatherWeightRows(s *Scratch, w *Tensor, cols []int) *Tensor {
 	out := newTensor(s, len(cols), w.C)
 	for n, k := range cols {
@@ -321,14 +605,11 @@ func DedupRows(rows [][]float64) (uniq [][]float64, idx []int) {
 // row idx[i]. It is autograd-complete — the backward scatter-accumulates
 // each output row's gradient into its representative (in ascending output
 // row order, so gradients are deterministic) — which is what lets the
-// training forwards reuse the inference engine's dedup trick: projecting
-// a distinct row once and gathering is bitwise identical in the forward
-// and sums the duplicates' gradients in the backward.
+// training forward reuse the arena's dedup trick: projecting a distinct
+// row once and gathering is bitwise identical in the forward and sums
+// the duplicates' gradients in the backward.
 func GatherRows(src *Tensor, idx []int) *Tensor {
-	out := New(len(idx), src.C)
-	for i, j := range idx {
-		copy(out.Data[i*src.C:(i+1)*src.C], src.Data[j*src.C:(j+1)*src.C])
-	}
+	out := gatherRowsIn(nil, src, idx)
 	if needsGrad(src) {
 		out.enableGrad(func() {
 			for i, j := range idx {
@@ -342,297 +623,14 @@ func GatherRows(src *Tensor, idx []int) *Tensor {
 	return out
 }
 
-// gatherRowsIn is GatherRows for the no-tape path: same copies, no
-// backward, output on the arena. Inference inputs never carry gradients
-// (FreezeParams), so dropping the tape cannot change a value.
+// gatherRowsIn is GatherRows' forward: the row copies, with the output
+// drawn from s (or the heap when s is nil) and no tape.
 func gatherRowsIn(s *Scratch, src *Tensor, idx []int) *Tensor {
 	out := newTensor(s, len(idx), src.C)
 	for i, j := range idx {
 		copy(out.Data[i*src.C:(i+1)*src.C], src.Data[j*src.C:(j+1)*src.C])
 	}
 	return out
-}
-
-// FrozenLinear is an inference view of a Linear layer: it aliases the
-// layer's current weights and drives them through the fused kernel. Build
-// it after FreezeParams and use it within one Predict call — it does not
-// participate in the tape and must not outlive concurrent training steps.
-type FrozenLinear struct {
-	w    *Tensor
-	bias []float64
-}
-
-// Freeze returns the layer's inference view.
-func (l *Linear) Freeze() *FrozenLinear {
-	return &FrozenLinear{w: l.W, bias: l.B.Data}
-}
-
-// Forward computes x@W + b, bitwise identical to Linear.Forward.
-func (l *FrozenLinear) Forward(x *Tensor) *Tensor {
-	return matmulFused(x, l.w, l.bias, false)
-}
-
-// ForwardReLU computes max(0, x@W + b) in one pass, bitwise identical to
-// ReLU(Linear.Forward(x)).
-func (l *FrozenLinear) ForwardReLU(x *Tensor) *Tensor {
-	return matmulFused(x, l.w, l.bias, true)
-}
-
-// forwardDenseIn is Forward without the nonzero-column scan, for inputs
-// known to be dense activations.
-func (l *FrozenLinear) forwardDenseIn(s *Scratch, x *Tensor) *Tensor {
-	return matmulFusedDenseIn(s, x, l.w, l.bias, false)
-}
-
-// ForwardRows runs the layer directly on feature rows: the input is
-// compacted at copy time (CompactRows) and contracted against the
-// matching weight panel — bitwise identical to Forward over FromRows.
-func (l *FrozenLinear) ForwardRows(rows [][]float64) *Tensor {
-	return l.ForwardRowsIn(nil, rows)
-}
-
-// ForwardRowsIn is ForwardRows on the arena: zero heap allocations once
-// s is warm.
-//
-//pruner:hotpath
-func (l *FrozenLinear) ForwardRowsIn(s *Scratch, rows [][]float64) *Tensor {
-	x, cols := CompactRowsIn(s, rows, l.w.R)
-	return matmulFusedDenseIn(s, x, gatherWeightRows(s, l.w, cols), l.bias, false)
-}
-
-// FrozenMLP is an inference view of an MLP.
-type FrozenMLP struct {
-	layers []*FrozenLinear
-}
-
-// Freeze returns the MLP's inference view.
-func (m *MLP) Freeze() *FrozenMLP {
-	f := &FrozenMLP{layers: make([]*FrozenLinear, len(m.Layers))}
-	for i, l := range m.Layers {
-		f.layers[i] = l.Freeze()
-	}
-	return f
-}
-
-// Forward mirrors MLP.Forward: ReLU between layers, none after the last.
-// The first layer sees raw feature rows and scans for structurally-zero
-// columns; deeper layers see dense activations and skip the scan.
-func (m *FrozenMLP) Forward(x *Tensor) *Tensor {
-	return m.ForwardIn(nil, x)
-}
-
-// ForwardIn is Forward on the arena: zero heap allocations once s is
-// warm.
-//
-//pruner:hotpath
-func (m *FrozenMLP) ForwardIn(s *Scratch, x *Tensor) *Tensor {
-	for i, l := range m.layers {
-		relu := i+1 < len(m.layers)
-		if i == 0 {
-			x = matmulFusedIn(s, x, l.w, l.bias, relu)
-		} else {
-			x = matmulFusedDenseIn(s, x, l.w, l.bias, relu)
-		}
-	}
-	return x
-}
-
-// ForwardReLU applies ReLU after every layer including the last — the
-// ReLU(MLP.Forward(x)) composition the cost models use for embeddings.
-func (m *FrozenMLP) ForwardReLU(x *Tensor) *Tensor {
-	for i, l := range m.layers {
-		if i == 0 {
-			x = matmulFused(x, l.w, l.bias, true)
-		} else {
-			x = matmulFusedDense(x, l.w, l.bias, true)
-		}
-	}
-	return x
-}
-
-// ForwardReLURows is ForwardReLU fed directly from feature rows, with the
-// first layer contracted over the compacted columns (see ForwardRows).
-func (m *FrozenMLP) ForwardReLURows(rows [][]float64) *Tensor {
-	return m.ForwardReLURowsIn(nil, rows)
-}
-
-// ForwardReLURowsIn is ForwardReLURows on the arena: zero heap
-// allocations once s is warm.
-//
-//pruner:hotpath
-func (m *FrozenMLP) ForwardReLURowsIn(s *Scratch, rows [][]float64) *Tensor {
-	l0 := m.layers[0]
-	x, cols := CompactRowsIn(s, rows, l0.w.R)
-	x = matmulFusedDenseIn(s, x, gatherWeightRows(s, l0.w, cols), l0.bias, true)
-	for _, l := range m.layers[1:] {
-		x = matmulFusedDenseIn(s, x, l.w, l.bias, true)
-	}
-	return x
-}
-
-// FrozenAttention is an inference view of a SelfAttention block.
-type FrozenAttention struct {
-	q, k, v, o *FrozenLinear
-	normG      *Tensor
-	normB      *Tensor
-	dim        int
-}
-
-// Freeze returns the block's inference view.
-func (a *SelfAttention) Freeze() *FrozenAttention {
-	return &FrozenAttention{
-		q:     a.Q.Freeze(),
-		k:     a.K.Freeze(),
-		v:     a.V.Freeze(),
-		o:     a.O.Freeze(),
-		normG: a.Norm.G,
-		normB: a.Norm.B,
-		dim:   a.dim,
-	}
-}
-
-// ForwardSegments applies the attention block independently to contiguous
-// row segments of x (lens summing to x.R): the Q/K/V/O projections and
-// the residual layer norm run batched across all segments, while the
-// score matmuls and softmax — the only parts that mix rows — stay
-// segment-local. Each segment's output is bitwise identical to
-// SelfAttention.Forward over that segment alone.
-func (a *FrozenAttention) ForwardSegments(x *Tensor, lens []int) *Tensor {
-	return a.ForwardSegmentsIn(nil, x, lens)
-}
-
-// ForwardSegmentsIn is ForwardSegments on the arena: zero heap
-// allocations once s is warm.
-//
-//pruner:hotpath
-func (a *FrozenAttention) ForwardSegmentsIn(s *Scratch, x *Tensor, lens []int) *Tensor {
-	return a.forwardFrom(s, x, a.q.forwardDenseIn(s, x), a.k.forwardDenseIn(s, x), a.v.forwardDenseIn(s, x), lens)
-}
-
-// ForwardSegmentsDedup is ForwardSegments over a token sequence given in
-// deduplicated form: uniq holds the distinct token rows and idx maps each
-// expanded row to its distinct representative (see DedupRows). The Q/K/V
-// projections run once per distinct row and are gathered back, so batches
-// whose tokens repeat heavily — TLP's near-constant one-hots, PaCM's
-// zero-padded dataflow rows — skip most projection work. A projection is
-// row-wise, so projecting a representative and copying is bitwise
-// identical to projecting every duplicate.
-func (a *FrozenAttention) ForwardSegmentsDedup(uniq *Tensor, idx []int, lens []int) *Tensor {
-	return a.ForwardSegmentsDedupIn(nil, uniq, idx, lens)
-}
-
-// ForwardSegmentsDedupIn is ForwardSegmentsDedup on the arena: zero heap
-// allocations once s is warm.
-//
-//pruner:hotpath
-func (a *FrozenAttention) ForwardSegmentsDedupIn(s *Scratch, uniq *Tensor, idx []int, lens []int) *Tensor {
-	qu := a.q.forwardDenseIn(s, uniq)
-	ku := a.k.forwardDenseIn(s, uniq)
-	vu := a.v.forwardDenseIn(s, uniq)
-	return a.forwardFrom(
-		s,
-		gatherRowsIn(s, uniq, idx),
-		gatherRowsIn(s, qu, idx),
-		gatherRowsIn(s, ku, idx),
-		gatherRowsIn(s, vu, idx),
-		lens,
-	)
-}
-
-// forwardFrom is the shared attention core over precomputed projections.
-// Scores, softmax and the value mix run on one reused scratch row per
-// segment — no per-segment tensors — with each value accumulated in the
-// same order as the operator chain it replaces
-// (SoftmaxRows(Scale(MatMul(qs, ksᵀ))) @ vs).
-func (a *FrozenAttention) forwardFrom(s *Scratch, x, q, k, v *Tensor, lens []int) *Tensor {
-	engineAttnSegments.Add(uint64(len(lens)))
-	C := x.C
-	ctx := newTensor(s, x.R, C)
-	scale := 1 / math.Sqrt(float64(a.dim))
-	maxN := 0
-	for _, n := range lens {
-		maxN = max(maxN, n)
-	}
-	scratch := scratchFloats(s, 2*maxN)
-	// softmaxRow replicates SoftmaxRows' operation order on one scratch
-	// row in place.
-	softmaxRow := func(row []float64) {
-		m := math.Inf(-1)
-		for _, sv := range row {
-			m = math.Max(m, sv)
-		}
-		var sum float64
-		for jj, sv := range row {
-			e := math.Exp(sv - m)
-			row[jj] = e
-			sum += e
-		}
-		for jj := range row {
-			row[jj] /= sum
-		}
-	}
-	off := 0
-	for _, n := range lens {
-		row0, row1 := scratch[:n], scratch[maxN:maxN+n]
-		// Query rows go in pairs sharing each key/value row load.
-		r := off
-		for ; r+2 <= off+n; r += 2 {
-			q0 := q.Data[r*C : r*C+C]
-			q1 := q.Data[(r+1)*C : (r+1)*C+C]
-			// Scaled scores against the segment's keys: the full dot in
-			// ascending order, then one multiply — exactly
-			// Scale(MatMul(qs, Transpose(ks))).
-			for jj := 0; jj < n; jj++ {
-				kRow := k.Data[(off+jj)*C : (off+jj)*C+C]
-				var s0, s1 float64
-				for kk, kv := range kRow {
-					s0 += q0[kk] * kv
-					s1 += q1[kk] * kv
-				}
-				row0[jj] = s0 * scale
-				row1[jj] = s1 * scale
-			}
-			softmaxRow(row0)
-			softmaxRow(row1)
-			// ctx rows = attn @ values, ascending over the segment. A
-			// softmax weight is only zero on deep underflow; the exact
-			// ±0.0 term it then contributes is harmless (finite values).
-			c0 := ctx.Data[r*C : r*C+C]
-			c1 := ctx.Data[(r+1)*C : (r+1)*C+C]
-			for jj := 0; jj < n; jj++ {
-				a0, a1 := row0[jj], row1[jj]
-				vRow := v.Data[(off+jj)*C : (off+jj)*C+C]
-				for c2, vv := range vRow {
-					c0[c2] += a0 * vv
-					c1[c2] += a1 * vv
-				}
-			}
-		}
-		for ; r < off+n; r++ {
-			qRow := q.Data[r*C : r*C+C]
-			for jj := 0; jj < n; jj++ {
-				kRow := k.Data[(off+jj)*C : (off+jj)*C+C]
-				var sc float64
-				for kk, kv := range kRow {
-					sc += qRow[kk] * kv
-				}
-				row0[jj] = sc * scale
-			}
-			softmaxRow(row0)
-			cRow := ctx.Data[r*C : r*C+C]
-			for jj, av := range row0[:n] {
-				vRow := v.Data[(off+jj)*C : (off+jj)*C+C]
-				for c2, vv := range vRow {
-					cRow[c2] += av * vv
-				}
-			}
-		}
-		off += n
-	}
-	if off != x.R {
-		panic(fmt.Sprintf("nn: ForwardSegments lengths sum to %d, tensor has %d rows", off, x.R))
-	}
-	return addLayerNormRowsIn(s, x, a.o.forwardDenseIn(s, ctx), a.normG, a.normB)
 }
 
 // addLayerNormRowsIn computes LayerNormRows(Add(x, y), g, b) without the
@@ -670,75 +668,6 @@ func addLayerNormRowsIn(s *Scratch, x, y, g, b *Tensor) *Tensor {
 			nv := (sum.Data[idx] - mu) * inv
 			out.Data[idx] = nv*g.Data[j] + b.Data[j]
 		}
-	}
-	return out
-}
-
-// SegmentSumRowsIn is SegmentSumRows for the no-tape path: rows
-// accumulate in the identical order (so results are bitwise identical),
-// the backward is dropped, and the output lives on the arena.
-//
-//pruner:hotpath
-func SegmentSumRowsIn(s *Scratch, x *Tensor, lens []int) *Tensor {
-	total := 0
-	for sg, n := range lens {
-		if n <= 0 {
-			panic(fmt.Sprintf("nn: SegmentSumRows segment %d has length %d", sg, n))
-		}
-		total += n
-	}
-	if total != x.R {
-		panic(fmt.Sprintf("nn: SegmentSumRows lengths sum to %d, tensor has %d rows", total, x.R))
-	}
-	out := newTensor(s, len(lens), x.C)
-	row := 0
-	for sg, n := range lens {
-		oRow := out.Data[sg*x.C : (sg+1)*x.C]
-		for r := 0; r < n; r++ {
-			xRow := x.Data[row*x.C : (row+1)*x.C]
-			for j, v := range xRow {
-				oRow[j] += v
-			}
-			row++
-		}
-	}
-	return out
-}
-
-// SegmentMeanRowsIn is SegmentMeanRows for the no-tape path (see
-// SegmentSumRowsIn): sum in row order, then one multiply by the
-// reciprocal length — bitwise identical to the tape operator.
-func SegmentMeanRowsIn(s *Scratch, x *Tensor, lens []int) *Tensor {
-	sum := SegmentSumRowsIn(s, x, lens)
-	out := newTensor(s, sum.R, sum.C)
-	for sg, n := range lens {
-		inv := 1 / float64(n)
-		for j := 0; j < sum.C; j++ {
-			out.Data[sg*sum.C+j] = sum.Data[sg*sum.C+j] * inv
-		}
-	}
-	return out
-}
-
-// TanhIn is Tanh for the no-tape path, on the arena.
-func TanhIn(s *Scratch, x *Tensor) *Tensor {
-	out := newTensor(s, x.R, x.C)
-	for i, v := range x.Data {
-		out.Data[i] = math.Tanh(v)
-	}
-	return out
-}
-
-// ConcatColsIn is ConcatCols for the no-tape path, on the arena.
-func ConcatColsIn(s *Scratch, a, b *Tensor) *Tensor {
-	if a.R != b.R {
-		panic(fmt.Sprintf("nn: concat rows %d vs %d", a.R, b.R))
-	}
-	cols := a.C + b.C
-	out := newTensor(s, a.R, cols)
-	for i := 0; i < a.R; i++ {
-		copy(out.Data[i*cols:i*cols+a.C], a.Data[i*a.C:(i+1)*a.C])
-		copy(out.Data[i*cols+a.C:(i+1)*cols], b.Data[i*b.C:(i+1)*b.C])
 	}
 	return out
 }

@@ -125,10 +125,10 @@ func TestMatMulFusedMatchesOps(t *testing.T) {
 			bias[j] = rng.NormFloat64()
 		}
 		bt := FromVec(bias)
-		bitwiseEqual(t, "fused plain", matmulFused(a, w, nil, false), MatMul(a, w))
-		bitwiseEqual(t, "fused bias", matmulFused(a, w, bias, false), AddBias(MatMul(a, w), bt))
-		bitwiseEqual(t, "fused bias+relu", matmulFused(a, w, bias, true), ReLU(AddBias(MatMul(a, w), bt)))
-		bitwiseEqual(t, "fused relu", matmulFused(a, w, nil, true), ReLU(MatMul(a, w)))
+		bitwiseEqual(t, "fused plain", matmulFusedIn(nil, a, w, nil, false), MatMul(a, w))
+		bitwiseEqual(t, "fused bias", matmulFusedIn(nil, a, w, bias, false), AddBias(MatMul(a, w), bt))
+		bitwiseEqual(t, "fused bias+relu", matmulFusedIn(nil, a, w, bias, true), ReLU(AddBias(MatMul(a, w), bt)))
+		bitwiseEqual(t, "fused relu", matmulFusedIn(nil, a, w, nil, true), ReLU(MatMul(a, w)))
 	}
 }
 
@@ -139,7 +139,7 @@ func TestMatMulFusedAllZeroRow(t *testing.T) {
 	a := New(3, 8) // all zeros
 	a.Data[2*8+5] = rng.NormFloat64()
 	w := randConst(rng, 8, 6)
-	bitwiseEqual(t, "zero rows", matmulFused(a, w, nil, false), MatMul(a, w))
+	bitwiseEqual(t, "zero rows", matmulFusedIn(nil, a, w, nil, false), MatMul(a, w))
 }
 
 func TestRowsViewSharesData(t *testing.T) {
@@ -162,9 +162,9 @@ func TestRowsViewSharesData(t *testing.T) {
 	RowsView(p, 0, 1)
 }
 
-// TestFrozenModulesBitwiseIdentical pins the engine's core contract: each
-// frozen snapshot's forward is bitwise identical to the Module forward it
-// replaces, run under FreezeParams.
+// TestFrozenModulesBitwiseIdentical pins the arena executor's core
+// contract: with the modules' parameters frozen, each Scratch method is
+// bitwise identical to the Module forward it stands in for.
 func TestFrozenModulesBitwiseIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 
@@ -177,28 +177,37 @@ func TestFrozenModulesBitwiseIdentical(t *testing.T) {
 	params = append(params, attn.Params()...)
 	defer FreezeParams(params)()
 
+	var s Scratch
 	x := randConst(rng, 12, 9)
-	bitwiseEqual(t, "frozen linear", lin.Freeze().Forward(x), lin.Forward(x))
-	bitwiseEqual(t, "frozen linear+relu", lin.Freeze().ForwardReLU(x), ReLU(lin.Forward(x)))
-	bitwiseEqual(t, "frozen mlp", mlp.Freeze().Forward(x), mlp.Forward(x))
-	bitwiseEqual(t, "frozen mlp+relu", mlp.Freeze().ForwardReLU(x), ReLU(mlp.Forward(x)))
+	rows := make([][]float64, x.R)
+	for i := range rows {
+		rows[i] = x.Data[i*x.C : (i+1)*x.C]
+	}
+	bitwiseEqual(t, "linear rows", s.LinearRows(lin, rows), lin.Forward(x))
+	bitwiseEqual(t, "mlp", s.MLP(mlp, x), mlp.Forward(x))
+	bitwiseEqual(t, "mlp relu rows", s.MLPReLURows(mlp, rows), ReLU(mlp.Forward(x)))
 
-	// Attention over segments vs per-segment module forwards.
+	// Attention over segments (identity dedup index) vs per-segment
+	// module forwards.
 	lens := []int{4, 3, 5}
 	tokens := randConst(rng, 12, 6)
-	got := attn.Freeze().ForwardSegments(tokens, lens)
+	idx := make([]int, tokens.R)
+	for i := range idx {
+		idx[i] = i
+	}
+	got := s.AttentionDedup(attn, tokens, idx, lens)
 	row := 0
-	for s, n := range lens {
+	for sg, n := range lens {
 		want := attn.Forward(RowsView(tokens, row, row+n))
 		seg := RowsView(got, row, row+n)
-		bitwiseEqual(t, "frozen attention segment "+string(rune('0'+s)), seg, want)
+		bitwiseEqual(t, "attention segment "+string(rune('0'+sg)), seg, want)
 		row += n
 	}
 }
 
 // TestInferenceForwardBuildsNoTape verifies the no-tape property end to
-// end: under FreezeParams an op-composed forward and the engine's frozen
-// forward both come back without autograd state.
+// end: under FreezeParams an op-composed forward and the arena
+// executor's forward both come back without autograd state.
 func TestInferenceForwardBuildsNoTape(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	mlp := NewMLP(rng, 4, 8, 1)
@@ -207,7 +216,7 @@ func TestInferenceForwardBuildsNoTape(t *testing.T) {
 	x := randConst(rng, 3, 4)
 	for name, y := range map[string]*Tensor{
 		"module": SegmentSumRows(ReLU(mlp.Forward(x)), []int{1, 2}),
-		"frozen": mlp.Freeze().Forward(x),
+		"arena":  new(Scratch).MLP(mlp, x),
 	} {
 		if y.requiresGrad || y.back != nil || y.prev != nil || y.Grad != nil {
 			t.Fatalf("%s inference forward carries tape state", name)

@@ -136,8 +136,7 @@ func (a *SelfAttention) Forward(x *Tensor) *Tensor {
 // segments — one GEMM each instead of one per segment — while the score
 // matmuls and softmax, the only row-mixing parts, stay segment-local.
 // Projections and layer norm are row-wise, so each segment's output is
-// bitwise identical to Forward over that segment alone; this is the
-// training-path mirror of FrozenAttention.ForwardSegments.
+// bitwise identical to Forward over that segment alone.
 func (a *SelfAttention) ForwardSegments(x *Tensor, lens []int) *Tensor {
 	return a.forwardSegments(x, a.Q.Forward(x), a.K.Forward(x), a.V.Forward(x), lens)
 }

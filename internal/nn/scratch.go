@@ -1,7 +1,7 @@
 // Scratch: the grow-only arena behind the zero-allocation inference
-// path. The batched cost-model engine calls the frozen kernels once per
-// candidate chunk, thousands of times per tuning round; with a warmed
-// Scratch every *In kernel variant runs without touching the heap
+// executor. Predict runs each model's one batched forward on a Scratch
+// once per candidate chunk, thousands of times per tuning round; with a
+// warmed arena every Scratch kernel runs without touching the heap
 // (pinned by the TestAlloc* gates and the hotalloc analyzer), so the
 // verify stage stops feeding the garbage collector.
 //
@@ -9,15 +9,15 @@
 // order and is rewound wholesale with Reset — allocation happens only
 // while a buffer sequence is still growing toward its steady-state
 // shape. Buffers alias memory owned by the Scratch: results needed
-// beyond the next Reset must be copied out (see scoresOut in
-// costmodel). A Scratch is single-goroutine state; concurrent engine
-// chunks draw distinct instances from a free list.
+// beyond the next Reset must be copied out (see predictBatched in
+// costmodel). A Scratch is single-goroutine state; concurrent chunks
+// draw distinct instances from a free list.
 
 package nn
 
 // Scratch is a grow-only arena of float64/int buffers and Tensor
-// headers, reused across frozen-kernel calls. The zero value is ready to
-// use.
+// headers, reused across kernel calls, and the inference Exec (infer.go).
+// The zero value is ready to use.
 type Scratch struct {
 	floatBufs [][]float64
 	floatN    int
@@ -92,9 +92,14 @@ func (s *Scratch) tensor(r, c int) *Tensor {
 	return t
 }
 
-// newTensor is the allocation seam every frozen kernel output goes
-// through: arena-backed when a Scratch is supplied, a fresh heap tensor
-// when s is nil (the drop-in compatible slow path).
+// heapArena is the nil arena: a Scratch kernel called through it
+// allocates every output with New. The tape operators run their
+// forwards through it, so each forward loop is written once.
+var heapArena *Scratch
+
+// newTensor is the allocation seam every kernel output goes through:
+// arena-backed when a Scratch is supplied, a fresh heap tensor when s is
+// nil.
 func newTensor(s *Scratch, r, c int) *Tensor {
 	if s == nil {
 		return New(r, c)

@@ -11,9 +11,10 @@
 //
 // Operators attach their tape state (gradient buffer, backward closure,
 // parent links) only when some parent requires gradients. Under
-// FreezeParams nothing does, so the inference hot path allocates no tape
-// at all — the no-tape forward the batched cost-model engine (infer.go)
-// builds on.
+// FreezeParams nothing does, so an inference forward allocates no tape
+// at all. The cost models go one step further and run inference on the
+// arena executor (infer.go), which shares each forward loop with the
+// operators here.
 package nn
 
 import (
@@ -417,10 +418,7 @@ func ReLU(x *Tensor) *Tensor {
 
 // Tanh applies the hyperbolic tangent.
 func Tanh(x *Tensor) *Tensor {
-	out := New(x.R, x.C)
-	for i, v := range x.Data {
-		out.Data[i] = math.Tanh(v)
-	}
+	out := heapArena.Tanh(x)
 	if needsGrad(x) {
 		out.enableGrad(func() {
 			for i, g := range out.Grad {
@@ -509,15 +507,8 @@ func Transpose(x *Tensor) *Tensor {
 
 // ConcatCols concatenates equal-row tensors side by side.
 func ConcatCols(a, b *Tensor) *Tensor {
-	if a.R != b.R {
-		panic(fmt.Sprintf("nn: concat rows %d vs %d", a.R, b.R))
-	}
-	cols := a.C + b.C
-	out := New(a.R, cols)
-	for i := 0; i < a.R; i++ {
-		copy(out.Data[i*cols:i*cols+a.C], a.Data[i*a.C:(i+1)*a.C])
-		copy(out.Data[i*cols+a.C:(i+1)*cols], b.Data[i*b.C:(i+1)*b.C])
-	}
+	out := heapArena.ConcatCols(a, b)
+	cols := out.C
 	if needsGrad(a, b) {
 		out.enableGrad(func() {
 			for i := 0; i < a.R; i++ {
@@ -617,31 +608,10 @@ func MeanRows(x *Tensor) *Tensor {
 // segment s (the lengths must sum to x.R) and row s of the len(lens) x C
 // result is their sum. Rows accumulate in order, so each output row is
 // bitwise identical to SumRows over that segment in isolation — the
-// reduction the batched cost-model engine uses to pool a whole candidate
-// batch's statement rows after one fused GEMM.
+// reduction the batched cost-model forwards use to pool a whole
+// candidate batch's statement rows after one fused GEMM.
 func SegmentSumRows(x *Tensor, lens []int) *Tensor {
-	total := 0
-	for s, n := range lens {
-		if n <= 0 {
-			panic(fmt.Sprintf("nn: SegmentSumRows segment %d has length %d", s, n))
-		}
-		total += n
-	}
-	if total != x.R {
-		panic(fmt.Sprintf("nn: SegmentSumRows lengths sum to %d, tensor has %d rows", total, x.R))
-	}
-	out := New(len(lens), x.C)
-	row := 0
-	for s, n := range lens {
-		oRow := out.Data[s*x.C : (s+1)*x.C]
-		for r := 0; r < n; r++ {
-			xRow := x.Data[row*x.C : (row+1)*x.C]
-			for j, v := range xRow {
-				oRow[j] += v
-			}
-			row++
-		}
-	}
+	out := heapArena.SegmentSum(x, lens)
 	if needsGrad(x) {
 		starts := segmentStarts(lens)
 		out.enableGrad(func() {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -186,8 +185,7 @@ func (s *Server) handleRegisterMeasurer(w http.ResponseWriter, r *http.Request) 
 	var body struct {
 		URL string `json:"url"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &body) {
 		return
 	}
 	base, err := normalizeWorkerURL(body.URL)

@@ -33,6 +33,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"math"
@@ -238,6 +239,29 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// maxRequestBody bounds the JSON bodies the daemon decodes: job specs and
+// measurer registrations. Both are a handful of short fields, well under
+// 1 KiB, so 64 KiB admits any legitimate client while an untrusted one
+// cannot make the decoder buffer without limit.
+const maxRequestBody = 64 << 10
+
+// decodeBody decodes r's size-bounded JSON body into v. On failure it
+// answers 413 with the limit for an oversized body, 400 otherwise, and
+// returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooBig):
+		writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+	default:
+		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	}
+	return false
+}
+
 // resolve validates a spec against the registries, fills its defaults in
 // place, and returns the device, network and the job's task set. The spec
 // is fully normalised at submit time; afterwards it is immutable.
@@ -315,15 +339,25 @@ func servablePretrained(p *pruner.Pretrained) string {
 	return extra
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeSpec reads and resolves a job-spec request body. It answers 413
+// or 400 itself when the body is oversized, malformed or names an
+// invalid job, and returns false.
+func (s *Server) decodeSpec(w http.ResponseWriter, r *http.Request) (JobSpec, []*ir.Task, bool) {
 	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
+	if !decodeBody(w, r, &spec) {
+		return spec, nil, false
 	}
 	_, _, tasks, err := s.resolve(&spec)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
+		return spec, nil, false
+	}
+	return spec, tasks, true
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	spec, tasks, ok := s.decodeSpec(w, r)
+	if !ok {
 		return
 	}
 

@@ -311,6 +311,33 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// TestServerRejectsOversizedSpec pins the request-body bound: a job spec
+// larger than the daemon accepts is refused with 413 and a stated reason,
+// and the daemon goes on serving — the next normal job still completes.
+func TestServerRejectsOversizedSpec(t *testing.T) {
+	_, ts := testServer(t, t.TempDir())
+	huge := `{"device":"a100","network":"` + strings.Repeat("x", maxRequestBody) + `"}`
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e map[string]string
+	json.NewDecoder(resp.Body).Decode(&e)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized spec: status %d, want 413", resp.StatusCode)
+	}
+	if want := fmt.Sprintf("request body exceeds %d bytes", maxRequestBody); e["error"] != want {
+		t.Fatalf("oversized spec: error %q, want %q", e["error"], want)
+	}
+
+	v := postJob(t, ts, JobSpec{Device: "a100", Network: "dcgan", Trials: 10, BatchSize: 5, Seed: 3, MaxTasks: 1, Fresh: true})
+	events := drainSSE(t, ts, v.ID)
+	if last := events[len(events)-1]; last.Type != string(StateDone) {
+		t.Fatalf("job after the oversized spec ended %q, want done", last.Type)
+	}
+}
+
 // TestServerCancelQueuedJob pins that DELETE works before a job ever
 // starts: the cancellation is remembered and the worker discards the job
 // at dequeue instead of tuning its full budget.
