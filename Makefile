@@ -97,7 +97,7 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -timeout=120m .
 
 # CI's benchmark smoke: every internal benchmark once (incl. the
-# verify-stage BenchmarkPredictBatched, the training-engine BenchmarkFit,
+# draft-stage BenchmarkRunLSE, the verify-stage BenchmarkPredictBatched, the training-engine BenchmarkFit,
 # the BenchmarkTunePipeline depth sweep and the fixed-vs-adaptive
 # BenchmarkTuneAdaptive measured-candidate comparison) plus a bounded
 # root subset.
@@ -115,12 +115,14 @@ bench-parallel:
 	$(GO) test -bench=BenchmarkTuneParallel -benchtime=1x .
 
 # Short fuzz pass over the record codec (the store's segment format and
-# the fleet's wire format), the store's torn-tail segment replay, the
-# daemon's job-spec decoder, and the hand-editable wire.lock parser. The seed corpora also run as
-# plain tests under `make test`.
+# the fleet's wire format), the measurement worker's /measure request
+# parsing, the store's torn-tail segment replay, the daemon's job-spec
+# decoder, and the hand-editable wire.lock parser. The seed corpora also
+# run as plain tests under `make test`.
 fuzz-smoke:
 	$(GO) test ./internal/measure -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime 10s
 	$(GO) test ./internal/measure -run '^$$' -fuzz '^FuzzReadRecords$$' -fuzztime 10s
+	$(GO) test ./internal/measure -run '^$$' -fuzz '^FuzzWorkerMeasureRequest$$' -fuzztime 10s
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzSegmentIndexTornTail$$' -fuzztime 10s
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzJobSpecDecode$$' -fuzztime 10s
 	$(GO) test ./internal/lint -run '^$$' -fuzz '^FuzzWireLockParse$$' -fuzztime 10s

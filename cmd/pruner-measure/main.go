@@ -80,8 +80,11 @@ func main() {
 	}
 	// The header timeout bounds how long a client may dribble request
 	// headers before the connection is dropped (slowloris); the /measure
-	// body size is bounded by the worker itself.
-	httpSrv := &http.Server{Handler: handler, ReadHeaderTimeout: 10 * time.Second}
+	// body size is bounded by the worker itself. The idle timeout reaps
+	// abandoned keep-alive connections; it outlasts the daemon's default
+	// 90 s client idle-connection timeout, so the daemon always closes
+	// first and never posts a batch on a connection being torn down.
+	httpSrv := &http.Server{Handler: handler, ReadHeaderTimeout: 10 * time.Second, IdleTimeout: 120 * time.Second}
 	errCh := make(chan error, 1)
 	//pruner:allow rawgo — the HTTP serve loop blocks until shutdown; main stays on the signal select
 	go func() { errCh <- httpSrv.Serve(ln) }()

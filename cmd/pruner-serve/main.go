@@ -109,8 +109,11 @@ func main() {
 	}
 	// The header timeout bounds how long a client may dribble request
 	// headers before the connection is dropped (slowloris); body sizes are
-	// bounded per handler.
-	httpSrv := &http.Server{Addr: *addr, Handler: handler, ReadHeaderTimeout: 10 * time.Second}
+	// bounded per handler. The idle timeout reaps abandoned keep-alive
+	// connections; it outlasts Go clients' default 90 s idle-connection
+	// timeout, so the client always closes first and never reuses a
+	// connection the server is tearing down.
+	httpSrv := &http.Server{Addr: *addr, Handler: handler, ReadHeaderTimeout: 10 * time.Second, IdleTimeout: 120 * time.Second}
 	errCh := make(chan error, 1)
 	//pruner:allow rawgo — the HTTP serve loop blocks until shutdown; main stays on the signal select
 	go func() { errCh <- httpSrv.ListenAndServe() }()

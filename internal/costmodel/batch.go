@@ -18,13 +18,14 @@ import (
 // rows concatenate into a few large fused GEMMs per chunk, and
 // per-candidate scores fall out of segmented reductions. The result is
 // bitwise identical to the per-candidate reference path
-// (predictReference) — pinned by TestPredictBatchedMatchesReference — so
+// (predictReference, reference_test.go) — pinned by
+// TestPredictBatchedMatchesReference — so
 // batching changes verify-stage wall-clock only, never a score.
 
 // MemoUser is implemented by models whose Predict can reuse a
 // caller-provided lowering memo. The tuner injects a fresh memo each
 // measurement round, so verification shares lowered programs (and their
-// cached features) with draft scoring and the buildability pre-filter.
+// cached features) with draft scoring.
 type MemoUser interface {
 	SetMemo(m *schedule.Memo)
 }
@@ -123,20 +124,4 @@ func statementBatch(lws []*schedule.Lowered) ([][]float64, []int) {
 		rows = append(rows, r...)
 	}
 	return rows, lens
-}
-
-// predictReference is the per-candidate baseline batching replaced: one
-// tape-free forward per schedule, fanned over the pool. It is retained as
-// the ground truth for the bitwise-equivalence tests and the
-// BenchmarkPredictBatched before/after comparison.
-func predictReference(pool *parallel.Pool, params []*nn.Tensor, t *ir.Task, schs []*schedule.Schedule, one func(*schedule.Lowered) *nn.Tensor) []float64 {
-	if pool == nil {
-		pool = parallel.Default()
-	}
-	defer nn.FreezeParams(params)()
-	out := make([]float64, len(schs))
-	pool.ForEach(len(schs), func(i int) {
-		out[i] = one(schedule.Lower(t, schs[i])).At(0, 0)
-	})
-	return out
 }

@@ -65,17 +65,12 @@ func (m *TenSetMLP) SetMemo(mm *schedule.Memo) { m.memo = mm }
 // SetObserver implements ObsUser.
 func (m *TenSetMLP) SetObserver(o *obs.Observer) { m.mo = newModelObs(o, m.Name()) }
 
-func (m *TenSetMLP) forwardOne(lw *schedule.Lowered) *nn.Tensor {
-	rows := nn.FromRows(features.Statement(lw))
-	emb := m.embed.ForwardReLU(rows)
-	return m.head.Forward(nn.SumRows(emb))
-}
-
 // forward is the model's one batched forward, run on the tape by Fit and
 // on an arena by Predict: the whole batch's statement rows run through
 // the embedding in one fused pair of GEMMs and pool per candidate via a
 // segmented sum. Row-wise ops and the order-preserving segment reduction
-// keep each score bitwise identical to forwardOne.
+// keep each score bitwise identical to the per-candidate reference
+// forward (reference_test.go).
 //
 //pruner:hotpath
 func (m *TenSetMLP) forward(e nn.Exec, lws []*schedule.Lowered) *nn.Tensor {
@@ -212,26 +207,6 @@ func (m *PaCM) SetMemo(mm *schedule.Memo) { m.memo = mm }
 // SetObserver implements ObsUser.
 func (m *PaCM) SetObserver(o *obs.Observer) { m.mo = newModelObs(o, m.Name()) }
 
-func (m *PaCM) forwardOne(lw *schedule.Lowered) *nn.Tensor {
-	var parts *nn.Tensor
-	if m.UseStatement {
-		rows := nn.FromRows(features.Statement(lw))
-		emb := m.stmtEmbed.ForwardReLU(rows)
-		parts = nn.SumRows(emb)
-	}
-	if m.UseDataflow {
-		df := nn.FromRows(features.Dataflow(lw))
-		tokens := nn.Tanh(m.dfProj.Forward(df))
-		ctx := nn.MeanRows(m.dfAttn.Forward(tokens))
-		if parts == nil {
-			parts = ctx
-		} else {
-			parts = nn.ConcatCols(parts, ctx)
-		}
-	}
-	return m.head.Forward(parts)
-}
-
 // forward is the model's one batched forward (see TenSetMLP.forward),
 // honouring the branch ablation flags: the statement branch pools fused
 // embeddings with a segmented sum; the dataflow branch deduplicates the
@@ -352,13 +327,6 @@ func (m *TLP) SetMemo(mm *schedule.Memo) { m.memo = mm }
 
 // SetObserver implements ObsUser.
 func (m *TLP) SetObserver(o *obs.Observer) { m.mo = newModelObs(o, m.Name()) }
-
-func (m *TLP) forwardOne(lw *schedule.Lowered) *nn.Tensor {
-	tokens := nn.FromRows(features.Primitives(lw))
-	x := m.proj.Forward(tokens)
-	x = m.attn.Forward(x)
-	return m.head.Forward(nn.MeanRows(x))
-}
 
 // forward is the model's one batched forward (see TenSetMLP.forward):
 // primitive tokens are near-constant one-hots that repeat heavily across

@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"math"
 	"sync"
 
 	"pruner/internal/ir"
@@ -143,6 +144,8 @@ func Lower(t *ir.Task, s *Schedule) *Lowered {
 		Blocks:          s.Blocks(),
 		ThreadsPerBlock: s.ThreadsPerBlock(),
 		VThreads:        s.VThreads(),
+		// Init, one load per input, compute, epilogue and store at most.
+		Stmts: make([]Statement, 0, len(t.Inputs)+4),
 	}
 	if t.Tiled() && s.UseShared {
 		lw.lowerTiled()
@@ -177,10 +180,35 @@ func (lw *Lowered) reduceOuterTrips() float64 {
 	return trips
 }
 
+// sharedPerBlock is the shared-memory allocation (elements of the task's
+// precision) one block stages per reduction-outer trip: the sum of the
+// input operands' shared tiles in declaration order, or 0 when the
+// schedule has no shared stage. It equals Lower(t, s).SharedPerBlock bit
+// for bit (lowerTiled sums through it) but builds no statements, so the
+// validity filters that need only this number skip lowering entirely.
+func sharedPerBlock(t *ir.Task, s *Schedule) float64 {
+	if !t.Tiled() || !s.UseShared {
+		return 0
+	}
+	var shared float64
+	for i := range t.Inputs {
+		shared += operandSharedTile(s, &t.Inputs[i])
+	}
+	return shared
+}
+
+// SharedFits reports whether the schedule's shared stage fits a budget of
+// the given number of 4-byte words. The demand is rounded up: a fraction of a word past
+// the budget still allocates a whole one, so truncation would admit
+// schedules the device cannot launch.
+func SharedFits(t *ir.Task, s *Schedule, words int) bool {
+	words4 := sharedPerBlock(t, s) * float64(t.Precision.Bytes()) / 4
+	return int(math.Ceil(words4)) <= words
+}
+
 // operandSharedTile is the shared-memory tile (words) one block stages for
 // the operand during one reduction-outer trip.
-func (lw *Lowered) operandSharedTile(o *ir.Operand) float64 {
-	s := lw.Sched
+func operandSharedTile(s *Schedule, o *ir.Operand) float64 {
 	tile := 1.0
 	for _, d := range o.SpatialIdx {
 		sp := s.SpatialTiles[d]
@@ -254,12 +282,11 @@ func (lw *Lowered) lowerTiled() {
 	regs := outRegTile
 
 	// Shared loads, one per input operand, in declaration order.
-	var shared float64
+	shared := sharedPerBlock(t, s)
 	var global float64
 	for i := range t.Inputs {
 		o := &t.Inputs[i]
-		tile := lw.operandSharedTile(o)
-		shared += tile
+		tile := operandSharedTile(s, o)
 		move := blocks * tile * trips
 		global += move
 		reuse := macsPerTrip / maxF(tile, 1)

@@ -1,11 +1,13 @@
 package schedule
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"pruner/internal/ir"
+	"pruner/internal/workloads"
 )
 
 // fig3Schedule builds the GEMM schedule of the paper's Figure 3 with
@@ -157,5 +159,66 @@ func TestHaloFootprintScale(t *testing.T) {
 	conv2 := ir.NewConv2D(shape, ir.FP32, 0)
 	if conv2.Inputs[0].FootprintScale <= conv.Inputs[0].FootprintScale {
 		t.Fatal("larger stride should reduce halo reuse (bigger scale)")
+	}
+}
+
+// sharedPropertyTasks is every registered workload's task list, plus FP16
+// builds of a CNN and a transformer, whose odd tiles make half-word shared
+// demands.
+func sharedPropertyTasks(t *testing.T) []*ir.Task {
+	t.Helper()
+	var tasks []*ir.Task
+	for _, name := range workloads.Names() {
+		net, err := workloads.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tasks = append(tasks, net.Tasks...)
+	}
+	tasks = append(tasks, workloads.ResNet50(1, ir.FP16).Tasks...)
+	tasks = append(tasks, workloads.ViT(1, ir.FP16).Tasks...)
+	return tasks
+}
+
+// TestSharedPerBlockMatchesLower: the lowering-free shared-memory helper
+// equals Lower's SharedPerBlock bit for bit, and SharedFits agrees with
+// the rounded-up budget test on the lowered value, over random, mutated
+// and shared-stage-disabled schedules of every workload task.
+func TestSharedPerBlockMatchesLower(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	budgets := []int{1024, 12288}
+	fractional := 0
+	for _, task := range sharedPropertyTasks(t) {
+		g := NewGenerator(task)
+		g.TensorCore = task.TensorCoreEligible() && rng.Intn(2) == 0
+		s := g.Random(rng)
+		for i := 0; i < 12; i++ {
+			switch i % 3 {
+			case 0:
+				s = g.Random(rng)
+			case 1:
+				s = g.Mutate(rng, s)
+			default:
+				s = s.Clone()
+				s.UseShared = !s.UseShared
+			}
+			lw := Lower(task, s)
+			got := sharedPerBlock(task, s)
+			if math.Float64bits(got) != math.Float64bits(lw.SharedPerBlock) {
+				t.Fatalf("%s %s: sharedPerBlock %v, Lower says %v", task.Name, s.Fingerprint(), got, lw.SharedPerBlock)
+			}
+			words4 := lw.SharedPerBlock * float64(task.Precision.Bytes()) / 4
+			if words4 != math.Trunc(words4) {
+				fractional++
+			}
+			for _, b := range budgets {
+				if want := int(math.Ceil(words4)) <= b; SharedFits(task, s, b) != want {
+					t.Fatalf("%s %s: SharedFits(%d) = %v for %v words", task.Name, s.Fingerprint(), b, !want, words4)
+				}
+			}
+		}
+	}
+	if fractional == 0 {
+		t.Fatal("no schedule had a fractional shared demand; the rounding path went unchecked")
 	}
 }

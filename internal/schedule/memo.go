@@ -8,8 +8,8 @@ import (
 
 // Memo caches lowered programs by schedule fingerprint, so one tuning
 // round lowers (and, through Lowered's feature cache, featurizes) each
-// candidate exactly once across draft scoring, the buildability
-// pre-filter and cost-model verification — instead of up to three times.
+// candidate exactly once across draft scoring, cost-model verification
+// and in-process measurement — instead of once per use.
 // It is safe for concurrent use by pool workers; Lower is a pure function
 // of (task, schedule), so memoization cannot change any computed value.
 //

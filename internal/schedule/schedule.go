@@ -14,7 +14,6 @@ package schedule
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"strconv"
 	"sync/atomic"
@@ -229,17 +228,23 @@ func primeFactors(n int) []int {
 	return fs
 }
 
-// randomFactorization splits extent into parts factors whose product is
-// extent, distributing prime factors uniformly at random.
-func randomFactorization(rng *rand.Rand, extent, parts int) []int {
-	out := make([]int, parts)
-	for i := range out {
-		out[i] = 1
+// randomFactorization splits extent into len(tile) factors whose product
+// is extent, writing them into tile: each prime factor, in ascending order
+// with multiplicity, goes to a uniformly random level.
+func randomFactorization(rng *rand.Rand, extent int, tile []int) {
+	for i := range tile {
+		tile[i] = 1
 	}
-	for _, p := range primeFactors(extent) {
-		out[rng.Intn(parts)] *= p
+	n := extent
+	for p := 2; p*p <= n; p++ {
+		for n%p == 0 {
+			tile[rng.Intn(len(tile))] *= p
+			n /= p
+		}
 	}
-	return out
+	if n > 1 {
+		tile[rng.Intn(len(tile))] *= n
+	}
 }
 
 // FactorizationCount returns the number of distinct ordered factorisations
@@ -318,17 +323,7 @@ func (g *Generator) Fits(s *Schedule) bool {
 	if tp < 1 || tp > g.MaxThreads {
 		return false
 	}
-	if g.MaxSharedWords > 0 && g.Task.Tiled() && s.UseShared {
-		lw := Lower(g.Task, s)
-		words4 := lw.SharedPerBlock * float64(g.Task.Precision.Bytes()) / 4
-		// Ceil, not truncate: a fractional word still allocates a whole one,
-		// so truncation admitted schedules just past the budget (the same
-		// bug the search-side buildable filter had).
-		if int(math.Ceil(words4)) > g.MaxSharedWords {
-			return false
-		}
-	}
-	return true
+	return g.MaxSharedWords <= 0 || SharedFits(g.Task, s, g.MaxSharedWords)
 }
 
 // Random samples one valid schedule.
@@ -362,9 +357,7 @@ func (g *Generator) clampShared(s *Schedule) {
 		return
 	}
 	for iter := 0; iter < 64; iter++ {
-		lw := Lower(g.Task, s)
-		words4 := lw.SharedPerBlock * float64(g.Task.Precision.Bytes()) / 4
-		if int(math.Ceil(words4)) <= g.MaxSharedWords {
+		if SharedFits(g.Task, s, g.MaxSharedWords) {
 			return
 		}
 		// Prefer shrinking the shared-resident reduction extent.
@@ -425,12 +418,10 @@ func (g *Generator) randomOnce(rng *rand.Rand) *Schedule {
 		TensorCore:   g.TensorCore && t.TensorCoreEligible(),
 	}
 	for d, e := range t.Spatial {
-		f := randomFactorization(rng, e, NumSpatialLevels)
-		copy(s.SpatialTiles[d][:], f)
+		randomFactorization(rng, e, s.SpatialTiles[d][:])
 	}
 	for d, e := range t.Reduce {
-		f := randomFactorization(rng, e, NumReduceLevels)
-		copy(s.ReduceTiles[d][:], f)
+		randomFactorization(rng, e, s.ReduceTiles[d][:])
 	}
 	if !t.Tiled() {
 		// Flat sketch: no vthread, no shared stage; fold everything beyond

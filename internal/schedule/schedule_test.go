@@ -57,10 +57,8 @@ func TestFactorizationProperty(t *testing.T) {
 	f := func(extent16 uint16, parts8 uint8) bool {
 		extent := int(extent16%4096) + 1
 		parts := int(parts8%5) + 1
-		fs := randomFactorization(rng, extent, parts)
-		if len(fs) != parts {
-			return false
-		}
+		fs := make([]int, parts)
+		randomFactorization(rng, extent, fs)
 		p := 1
 		for _, v := range fs {
 			if v <= 0 {
@@ -72,6 +70,42 @@ func TestFactorizationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// referenceFactorization is the allocating sampler randomFactorization
+// replaced: factorize first, then send each prime to a random level.
+func referenceFactorization(rng *rand.Rand, extent, parts int) []int {
+	out := make([]int, parts)
+	for i := range out {
+		out[i] = 1
+	}
+	for _, p := range primeFactors(extent) {
+		out[rng.Intn(parts)] *= p
+	}
+	return out
+}
+
+// TestFactorizationMatchesReference pins the in-place sampler to the
+// allocating one it replaced: the same factors land on the same levels
+// and the RNG is left in the same state, over a long shared run of draws.
+func TestFactorizationMatchesReference(t *testing.T) {
+	got := rand.New(rand.NewSource(8))
+	want := rand.New(rand.NewSource(8))
+	shape := rand.New(rand.NewSource(9))
+	for i := 0; i < 5000; i++ {
+		extent := shape.Intn(1<<14) + 1
+		parts := shape.Intn(5) + 1
+		tile := make([]int, parts)
+		tile[0] = 7 // stale contents must be overwritten
+		randomFactorization(got, extent, tile)
+		ref := referenceFactorization(want, extent, parts)
+		if fmt.Sprint(tile) != fmt.Sprint(ref) {
+			t.Fatalf("extent %d into %d: got %v, want %v", extent, parts, tile, ref)
+		}
+	}
+	if g, w := got.Int63(), want.Int63(); g != w {
+		t.Fatalf("RNG state diverged: next draw %d, want %d", g, w)
 	}
 }
 

@@ -1,7 +1,7 @@
 package search
 
 import (
-	"sort"
+	"slices"
 
 	"pruner/internal/schedule"
 )
@@ -107,12 +107,7 @@ func RunLSE(ctx *Context, p LSEParams) []*schedule.Schedule {
 	for _, c := range spec {
 		out = append(out, c)
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].score != out[j].score {
-			return out[i].score > out[j].score
-		}
-		return out[i].sch.Fingerprint() < out[j].sch.Fingerprint()
-	})
+	slices.SortStableFunc(out, byScoreThenFingerprint)
 	if len(out) > p.SpecSize {
 		out = out[:p.SpecSize]
 	}
@@ -129,12 +124,7 @@ func pruneSpec(spec map[string]scored, k int) {
 	for _, c := range spec {
 		all = append(all, c)
 	}
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].score != all[j].score {
-			return all[i].score > all[j].score
-		}
-		return all[i].sch.Fingerprint() < all[j].sch.Fingerprint()
-	})
+	slices.SortStableFunc(all, byScoreThenFingerprint)
 	for _, c := range all[k:] {
 		delete(spec, c.sch.Fingerprint())
 	}

@@ -8,7 +8,9 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 
 	"pruner/internal/analyzer"
 	"pruner/internal/costmodel"
@@ -49,9 +51,8 @@ type Context struct {
 	Clock *simulator.Clock
 	Cost  simulator.CostParams
 	// Memo caches this round's lowered programs so a candidate is lowered
-	// (and featurized) exactly once across draft scoring, the buildability
-	// pre-filter and cost-model verification. nil falls back to lowering
-	// on every use.
+	// (and featurized) exactly once across draft scoring and cost-model
+	// verification. nil falls back to lowering on every use.
 	Memo *schedule.Memo
 	// DraftBudget, when positive, overrides the policy's own draft-stage
 	// candidate budget (|S_spec| for the Pruner policy) for this round —
@@ -124,13 +125,49 @@ type scored struct {
 	score float64
 }
 
+// byScoreDesc orders candidates best first. It is negative exactly when
+// a.score > b.score, so a NaN score compares equal to everything, as it
+// did under the sort.SliceStable comparator it replaced (cmp.Compare
+// would instead rank NaN last).
+func byScoreDesc(a, b scored) int {
+	switch {
+	case a.score > b.score:
+		return -1
+	case a.score < b.score:
+		return 1
+	}
+	return 0
+}
+
+// byScoreThenFingerprint orders candidates best first, fingerprint
+// ascending on equal scores.
+func byScoreThenFingerprint(a, b scored) int {
+	if a.score != b.score {
+		return byScoreDesc(a, b)
+	}
+	return strings.Compare(a.sch.Fingerprint(), b.sch.Fingerprint())
+}
+
+// rankOrder returns the permutation that stably sorts cands best first.
+// It sorts int32 indices rather than the 16-byte entries, so swaps move
+// no pointers.
+func rankOrder(cands []scored) []int32 {
+	order := make([]int32, len(cands))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortStableFunc(order, func(a, b int32) int { return byScoreDesc(cands[a], cands[b]) })
+	return order
+}
+
 // topK returns the k highest-scoring entries (stable on ties).
 func topK(cands []scored, k int) []scored {
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].score > cands[j].score })
-	if len(cands) > k {
-		cands = cands[:k]
+	order := rankOrder(cands)
+	out := make([]scored, min(k, len(cands)))
+	for i := range out {
+		out[i] = cands[order[i]]
 	}
-	return cands
+	return out
 }
 
 // buildable statically rejects schedules the device cannot launch (the
@@ -142,16 +179,7 @@ func (c *Context) buildable(s *schedule.Schedule) bool {
 		return true
 	}
 	dev := c.Draft.Dev
-	if s.ThreadsPerBlock() > dev.MaxThreads {
-		return false
-	}
-	lw := c.lower(s)
-	sharedWords4 := lw.SharedPerBlock * float64(c.Task.Precision.Bytes()) / 4
-	// Round the demand up: a schedule needing a fraction of a word beyond
-	// the budget still allocates the extra word. Truncation here let
-	// fractionally over-budget schedules through to measurement — the
-	// exact class of invalid program the draft stage exists to prune.
-	return int(math.Ceil(sharedWords4)) <= dev.SharedPerBlock
+	return s.ThreadsPerBlock() <= dev.MaxThreads && schedule.SharedFits(c.Task, s, dev.SharedPerBlock)
 }
 
 // pickBatch selects n unmeasured, deduplicated, buildable schedules from
@@ -253,19 +281,14 @@ func evolve(ctx *Context, p EvoParams, seed []*schedule.Schedule, scoreFn func([
 	for _, c := range all {
 		out = append(out, c)
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].score != out[j].score {
-			return out[i].score > out[j].score
-		}
-		return out[i].sch.Fingerprint() < out[j].sch.Fingerprint()
-	})
+	slices.SortStableFunc(out, byScoreThenFingerprint)
 	return out
 }
 
 // nextGeneration breeds a new population with fitness-proportional parent
 // selection (softmax over ranks) plus mutation and crossover.
 func nextGeneration(ctx *Context, p EvoParams, cands []scored) []*schedule.Schedule {
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].score > cands[j].score })
+	order := rankOrder(cands)
 	// Rank-based selection weights.
 	weights := make([]float64, len(cands))
 	var sum float64
@@ -279,16 +302,16 @@ func nextGeneration(ctx *Context, p EvoParams, cands []scored) []*schedule.Sched
 		for i, w := range weights {
 			r -= w
 			if r <= 0 {
-				return cands[i].sch
+				return cands[order[i]].sch
 			}
 		}
-		return cands[len(cands)-1].sch
+		return cands[order[len(order)-1]].sch
 	}
 	next := make([]*schedule.Schedule, 0, p.Population)
 	// Elitism: carry the top 5%.
 	elite := len(cands) / 20
 	for i := 0; i < elite && i < len(cands); i++ {
-		next = append(next, cands[i].sch)
+		next = append(next, cands[order[i]].sch)
 	}
 	for len(next) < p.Population {
 		switch r := ctx.RNG.Float64(); {

@@ -563,9 +563,9 @@ func Tune(dev *device.Device, tasks []*ir.Task, opt Options) *Result {
 		psp := eo.tr.Start("tuner.plan", obs.Int("round", round))
 		st := sched.next(round)
 
-		// One lowering memo per round: draft scoring, the buildability
-		// pre-filter, cost-model verification and in-process measurement
-		// all resolve candidates through it, so each is lowered and
+		// One lowering memo per round: draft scoring, cost-model
+		// verification and in-process measurement all resolve
+		// candidates through it, so each is lowered and
 		// featurized exactly once. Scoped to the round so entries die with
 		// the round's candidate pool.
 		memo := schedule.NewMemo()
