@@ -10,7 +10,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-cover wire-check wire-lock test race serve serve-e2e measure-e2e profile bench bench-smoke bench-parallel fuzz-smoke clean
+.PHONY: all build vet lint lint-cover wire-check wire-lock cross-arm64 test race serve serve-e2e measure-e2e profile bench bench-smoke bench-parallel fuzz-smoke clean
 
 all: vet lint build test
 
@@ -56,6 +56,20 @@ lint-cover:
 		'/^total:/ { sub(/%/, "", $$3); if ($$3+0 < floor) { printf "internal/lint coverage %.1f%% is below the %d%% floor\n", $$3, floor; exit 1 } \
 		else printf "internal/lint coverage %.1f%% (floor %d%%)\n", $$3, floor }'
 
+# The arm64 cross-build: vet and build the module for arm64, then check
+# that the generic axpy loops (internal/nn/axpy.go) compile to no FMADDD.
+# The Go spec lets arm64 fuse a multiply into an add, which skips the
+# product's rounding; those loops must keep the bits of the amd64 AVX
+# kernels (DESIGN.md §12). An empty assembly listing fails too, so the
+# grep cannot pass vacuously.
+cross-arm64:
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=arm64 $(GO) build ./...
+	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/nn 2>&1 | grep 'internal/nn/axpy.go:'); \
+	if [ -z "$$asm" ]; then echo "no arm64 assembly listing for internal/nn/axpy.go"; exit 1; fi; \
+	if echo "$$asm" | grep -qw FMADDD; then echo "FMADDD in the generic axpy loops:"; echo "$$asm" | grep -w FMADDD; exit 1; fi; \
+	echo "internal/nn/axpy.go: no FMADDD on arm64"
+
 test:
 	$(GO) test ./...
 
@@ -98,6 +112,7 @@ bench:
 
 # CI's benchmark smoke: every internal benchmark once (incl. the
 # draft-stage BenchmarkRunLSE, the verify-stage BenchmarkPredictBatched, the training-engine BenchmarkFit,
+# the nn BenchmarkAxpy AVX-vs-generic kernel comparison,
 # the BenchmarkTunePipeline depth sweep and the fixed-vs-adaptive
 # BenchmarkTuneAdaptive measured-candidate comparison) plus a bounded
 # root subset.

@@ -2,14 +2,15 @@
 // forward once, over the Exec interface below, and the caller picks how
 // it runs: Tape records the autograd operators a training step needs,
 // while *Scratch runs no-tape fused kernels on a reusable arena for the
-// verify-stage hot path (Predict, under FreezeParams). Every Scratch
-// kernel accumulates each output element in exactly the same order as
-// the tape operators — ascending over the contraction index — so the
-// two executors produce bitwise identical values (the property the
-// cost-model equivalence tests pin). The kernels assume finite weights:
-// a zero activation then contributes an exact ±0.0 term, which cannot
-// perturb any partial sum, letting the inner loop run branchless where
-// the tape operator branches per term.
+// verify-stage hot path (Predict, under FreezeParams). Both run their
+// GEMMs through the same row kernel, gemmRow, whose inner loop is the
+// one vectorised primitive axpy4 (axpy.go), so every output element is
+// accumulated in exactly the same order on either executor — ascending
+// over the contraction index — and the two produce bitwise identical
+// values (the property the cost-model equivalence tests pin). The
+// kernels assume finite weights: a zero activation then contributes an
+// exact ±0.0 term, which cannot perturb any partial sum, so four terms
+// go to axpy4 at once and only an all-zero block is skipped.
 //
 // A warmed Scratch performs zero heap allocations — the contract the
 // //pruner:hotpath annotations declare, the hotalloc analyzer enforces
@@ -157,10 +158,12 @@ func (s *Scratch) AttentionDedup(a *SelfAttention, uniq *Tensor, idx, lens []int
 }
 
 // attend is the attention core over precomputed projections. Scores,
-// softmax and the value mix run on one reused scratch row per segment —
-// no per-segment tensors — with each value accumulated in the same order
-// as the operator chain it replaces
-// (SoftmaxRows(Scale(MatMul(qs, ksᵀ))) @ vs).
+// softmax and the value mix run on one reused scratch row per query —
+// no per-segment tensors — through the same gemmRow calls as the
+// operator chain it replaces (SoftmaxRows(Scale(MatMul(qs, ksᵀ))) @ vs):
+// scores against the segment's transposed key panel, then the value mix
+// against its value rows, so every value is accumulated in the chain's
+// order.
 func (s *Scratch) attend(a *SelfAttention, x, q, k, v *Tensor, lens []int) *Tensor {
 	engineAttnSegments.Add(uint64(len(lens)))
 	C := x.C
@@ -170,79 +173,24 @@ func (s *Scratch) attend(a *SelfAttention, x, q, k, v *Tensor, lens []int) *Tens
 	for _, n := range lens {
 		maxN = max(maxN, n)
 	}
-	scratch := scratchFloats(s, 2*maxN)
-	// softmaxRow replicates SoftmaxRows' operation order on one scratch
-	// row in place.
-	softmaxRow := func(row []float64) {
-		m := math.Inf(-1)
-		for _, sv := range row {
-			m = math.Max(m, sv)
-		}
-		var sum float64
-		for jj, sv := range row {
-			e := math.Exp(sv - m)
-			row[jj] = e
-			sum += e
-		}
-		for jj := range row {
-			row[jj] /= sum
-		}
-	}
+	scores := scratchFloats(s, maxN)
+	keysT := scratchFloats(s, C*maxN)
 	off := 0
 	for _, n := range lens {
-		row0, row1 := scratch[:n], scratch[maxN:maxN+n]
-		// Query rows go in pairs sharing each key/value row load.
-		r := off
-		for ; r+2 <= off+n; r += 2 {
-			q0 := q.Data[r*C : r*C+C]
-			q1 := q.Data[(r+1)*C : (r+1)*C+C]
-			// Scaled scores against the segment's keys: the full dot in
-			// ascending order, then one multiply — exactly
-			// Scale(MatMul(qs, Transpose(ks))).
-			for jj := 0; jj < n; jj++ {
-				kRow := k.Data[(off+jj)*C : (off+jj)*C+C]
-				var s0, s1 float64
-				for kk, kv := range kRow {
-					s0 += q0[kk] * kv
-					s1 += q1[kk] * kv
-				}
-				row0[jj] = s0 * scale
-				row1[jj] = s1 * scale
-			}
-			softmaxRow(row0)
-			softmaxRow(row1)
-			// ctx rows = attn @ values, ascending over the segment. A
-			// softmax weight is only zero on deep underflow; the exact
-			// ±0.0 term it then contributes is harmless (finite values).
-			c0 := ctx.Data[r*C : r*C+C]
-			c1 := ctx.Data[(r+1)*C : (r+1)*C+C]
-			for jj := 0; jj < n; jj++ {
-				a0, a1 := row0[jj], row1[jj]
-				vRow := v.Data[(off+jj)*C : (off+jj)*C+C]
-				for c2, vv := range vRow {
-					c0[c2] += a0 * vv
-					c1[c2] += a1 * vv
-				}
+		// kT is Transpose(ks): kT[kk*n+jj] = ks[jj][kk].
+		kT := keysT[:C*n]
+		for jj := 0; jj < n; jj++ {
+			for kk, kv := range k.Data[(off+jj)*C : (off+jj+1)*C] {
+				kT[kk*n+jj] = kv
 			}
 		}
-		for ; r < off+n; r++ {
-			qRow := q.Data[r*C : r*C+C]
-			for jj := 0; jj < n; jj++ {
-				kRow := k.Data[(off+jj)*C : (off+jj)*C+C]
-				var sc float64
-				for kk, kv := range kRow {
-					sc += qRow[kk] * kv
-				}
-				row0[jj] = sc * scale
-			}
-			softmaxRow(row0)
-			cRow := ctx.Data[r*C : r*C+C]
-			for jj, av := range row0[:n] {
-				vRow := v.Data[(off+jj)*C : (off+jj)*C+C]
-				for c2, vv := range vRow {
-					cRow[c2] += av * vv
-				}
-			}
+		vs := v.Data[off*C : (off+n)*C]
+		row := scores[:n]
+		for r := off; r < off+n; r++ {
+			clear(row)
+			gemmRow(row, q.Data[r*C:(r+1)*C], kT, nil)
+			softmaxRow(row, scale)
+			gemmRow(ctx.Data[r*C:(r+1)*C], row, vs, nil)
 		}
 		off += n
 	}
@@ -250,6 +198,25 @@ func (s *Scratch) attend(a *SelfAttention, x, q, k, v *Tensor, lens []int) *Tens
 		panic(fmt.Sprintf("nn: ForwardSegments lengths sum to %d, tensor has %d rows", off, x.R))
 	}
 	return addLayerNormRowsIn(s, x, s.dense(a.O, ctx), a.Norm.G, a.Norm.B)
+}
+
+// softmaxRow scales a row of raw scores in place and replaces it with
+// its softmax — Scale then SoftmaxRows' operation order on one row.
+func softmaxRow(row []float64, scale float64) {
+	m := math.Inf(-1)
+	for jj, sv := range row {
+		row[jj] = sv * scale
+		m = math.Max(m, row[jj])
+	}
+	var sum float64
+	for jj, sv := range row {
+		e := math.Exp(sv - m)
+		row[jj] = e
+		sum += e
+	}
+	for jj := range row {
+		row[jj] /= sum
+	}
 }
 
 // SegmentSum implements Exec: rows accumulate in order, so each output
@@ -340,21 +307,16 @@ func RowsView(x *Tensor, lo, hi int) *Tensor {
 }
 
 // matmulFusedIn is the fused kernel: out = x @ w (+ bias) (then ReLU),
-// with the output and the nonzero-column index drawn from s. It keeps
-// MatMul's outer-product loop order but blocks the contraction index
-// four wide, so each output element is loaded and stored once per four
-// terms instead of once per term, with four independent streams of
-// b-rows. Per element the terms still add in ascending k — the chained
-// v += form — so the result is bitwise identical to
-// [ReLU](AddBias)(MatMul(x, w)) for finite w. Blocks whose four
-// activations are all zero are skipped outright (feature rows carry long
-// zero tails), matching MatMul's per-term zero-skip.
+// with the output and the nonzero-column index drawn from s. Each output
+// row accumulates its terms in ascending k through axpy4 (gemmRow), so
+// the result is bitwise identical to [ReLU](AddBias)(MatMul(x, w)) for
+// finite w.
 func matmulFusedIn(s *Scratch, x, w *Tensor, bias []float64, relu bool) *Tensor {
 	// Contract only over columns that are nonzero somewhere in the batch.
 	// Feature matrices carry long structurally-zero column runs (padding
 	// tails, unused one-hot slots); those columns contribute an exact zero
-	// to every output element, so dropping them reproduces MatMul's
-	// per-term zero-skip at dense-kernel cost.
+	// to every output element, so dropping them skips their terms at no
+	// cost to the bits.
 	return matmulFusedNz(s, x, w, bias, relu, nonzeroColsIn(s, x))
 }
 
@@ -364,11 +326,7 @@ func matmulFusedIn(s *Scratch, x, w *Tensor, bias []float64, relu bool) *Tensor 
 // bitwise-safe (finite weights), so the result is identical to
 // matmulFusedIn on the same operands.
 func matmulFusedDenseIn(s *Scratch, x, w *Tensor, bias []float64, relu bool) *Tensor {
-	nz := scratchInts(s, x.C)
-	for k := range nz {
-		nz[k] = k
-	}
-	return matmulFusedNz(s, x, w, bias, relu, nz)
+	return matmulFusedNz(s, x, w, bias, relu, nil)
 }
 
 func matmulFusedNz(s *Scratch, x, w *Tensor, bias []float64, relu bool, nz []int) *Tensor {
@@ -377,97 +335,52 @@ func matmulFusedNz(s *Scratch, x, w *Tensor, bias []float64, relu bool, nz []int
 	}
 	engineGEMMCalls.Add(1)
 	engineGEMMRows.Add(uint64(x.R))
-	K, C := x.C, w.C
-	out := newTensor(s, x.R, C)
-	i := 0
-	// Row pairs share each weight-row load and double the number of
-	// independent accumulator chains in flight.
-	for ; i+2 <= x.R; i += 2 {
-		a0Row := x.Data[i*K : i*K+K]
-		a1Row := x.Data[(i+1)*K : (i+1)*K+K]
-		o0 := out.Data[i*C : i*C+C]
-		o1 := out.Data[(i+1)*C : (i+1)*C+C]
-		n := 0
-		for ; n+4 <= len(nz); n += 4 {
-			k0, k1, k2, k3 := nz[n], nz[n+1], nz[n+2], nz[n+3]
-			p0, p1, p2, p3 := a0Row[k0], a0Row[k1], a0Row[k2], a0Row[k3]
-			q0, q1, q2, q3 := a1Row[k0], a1Row[k1], a1Row[k2], a1Row[k3]
-			if p0 == 0 && p1 == 0 && p2 == 0 && p3 == 0 &&
-				q0 == 0 && q1 == 0 && q2 == 0 && q3 == 0 {
-				continue
-			}
-			b0 := w.Data[k0*C : k0*C+C]
-			b1 := w.Data[k1*C : k1*C+C]
-			b2 := w.Data[k2*C : k2*C+C]
-			b3 := w.Data[k3*C : k3*C+C]
-			for j := 0; j < C; j++ {
-				bv0, bv1, bv2, bv3 := b0[j], b1[j], b2[j], b3[j]
-				v := o0[j]
-				v += p0 * bv0
-				v += p1 * bv1
-				v += p2 * bv2
-				v += p3 * bv3
-				o0[j] = v
-				u := o1[j]
-				u += q0 * bv0
-				u += q1 * bv1
-				u += q2 * bv2
-				u += q3 * bv3
-				o1[j] = u
-			}
-		}
-		for ; n < len(nz); n++ {
-			k := nz[n]
-			p, q := a0Row[k], a1Row[k]
-			if p == 0 && q == 0 {
-				continue
-			}
-			bRow := w.Data[k*C : k*C+C]
-			for j, bv := range bRow {
-				o0[j] += p * bv
-				o1[j] += q * bv
-			}
-		}
-		epilogue(o0, bias, relu)
-		epilogue(o1, bias, relu)
-	}
-	for ; i < x.R; i++ {
-		aRow := x.Data[i*K : i*K+K]
-		oRow := out.Data[i*C : i*C+C]
-		n := 0
-		for ; n+4 <= len(nz); n += 4 {
-			k0, k1, k2, k3 := nz[n], nz[n+1], nz[n+2], nz[n+3]
-			a0, a1, a2, a3 := aRow[k0], aRow[k1], aRow[k2], aRow[k3]
-			if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-				continue
-			}
-			b0 := w.Data[k0*C : k0*C+C]
-			b1 := w.Data[k1*C : k1*C+C]
-			b2 := w.Data[k2*C : k2*C+C]
-			b3 := w.Data[k3*C : k3*C+C]
-			for j, ov := range oRow {
-				v := ov
-				v += a0 * b0[j]
-				v += a1 * b1[j]
-				v += a2 * b2[j]
-				v += a3 * b3[j]
-				oRow[j] = v
-			}
-		}
-		for ; n < len(nz); n++ {
-			k := nz[n]
-			av := aRow[k]
-			if av == 0 {
-				continue
-			}
-			bRow := w.Data[k*C : k*C+C]
-			for j, bv := range bRow {
-				oRow[j] += av * bv
-			}
-		}
+	out := newTensor(s, x.R, w.C)
+	for i := 0; i < x.R; i++ {
+		oRow := out.Data[i*w.C : (i+1)*w.C]
+		gemmRow(oRow, x.Data[i*x.C:(i+1)*x.C], w.Data, nz)
 		epilogue(oRow, bias, relu)
 	}
 	return out
+}
+
+// gemmRow accumulates aRow @ w into oRow, where w holds len(aRow) rows
+// of len(oRow) values, over the contraction indices nz (ascending; nil
+// means every index), four terms per axpy4 call. Per element the terms
+// add in ascending k — the chained v += a*w form of the plain loop — and
+// a block whose four activations are all zero is skipped outright
+// (feature rows carry long zero tails). A zero activation inside a live
+// block adds an exact ±0.0, which cannot change a partial sum for finite
+// w.
+func gemmRow(oRow, aRow, w []float64, nz []int) {
+	C := len(oRow)
+	n := len(aRow)
+	if nz != nil {
+		n = len(nz)
+	}
+	t := 0
+	for ; t+4 <= n; t += 4 {
+		k0, k1, k2, k3 := col(nz, t), col(nz, t+1), col(nz, t+2), col(nz, t+3)
+		a0, a1, a2, a3 := aRow[k0], aRow[k1], aRow[k2], aRow[k3]
+		if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
+			continue
+		}
+		axpy4(oRow, w[k0*C:k0*C+C], w[k1*C:k1*C+C], w[k2*C:k2*C+C], w[k3*C:k3*C+C], a0, a1, a2, a3)
+	}
+	for ; t < n; t++ {
+		k := col(nz, t)
+		if a := aRow[k]; a != 0 {
+			axpy1(oRow, w[k*C:k*C+C], a)
+		}
+	}
+}
+
+// col is the t-th contraction index: nz[t], or t itself when nz is nil.
+func col(nz []int, t int) int {
+	if nz == nil {
+		return t
+	}
+	return nz[t]
 }
 
 // compactRows builds the kernel's compacted input directly from feature

@@ -191,114 +191,108 @@ func topoSort(root *Tensor) []*Tensor {
 // ---------------------------------------------------------------------------
 // Operators.
 
-// MatMul returns a @ b.
+// MatMul returns a @ b. Each output element accumulates its terms in
+// ascending contraction order through gemmRow, which is bitwise
+// identical to the plain triple loop for finite operands.
 func MatMul(a, b *Tensor) *Tensor {
 	if a.C != b.R {
 		panic(fmt.Sprintf("nn: matmul %dx%d @ %dx%d", a.R, a.C, b.R, b.C))
 	}
 	out := New(a.R, b.C)
 	for i := 0; i < a.R; i++ {
-		oRow := out.Data[i*out.C : (i+1)*out.C]
-		for k := 0; k < a.C; k++ {
-			av := a.Data[i*a.C+k]
-			if av == 0 {
-				continue
+		gemmRow(out.Data[i*b.C:(i+1)*b.C], a.Data[i*a.C:(i+1)*a.C], b.Data, nil)
+	}
+	if needsGrad(a, b) {
+		out.enableGrad(func() { matmulBackward(a, b, out.Grad) }, a, b)
+	}
+	return out
+}
+
+// matmulBackward accumulates the input gradients of out = a @ b from g,
+// out's gradient: dA = g @ bᵀ into a.Grad and dB = aᵀ @ g into b.Grad,
+// each only where that input requires gradients. It is the training hot
+// path — the backward of every Affine and MatMul node — and runs on
+// axpy4 like the forward.
+func matmulBackward(a, b *Tensor, g []float64) {
+	K, C := a.C, b.C
+	if a.requiresGrad {
+		// Each dA element is one dot over j, ascending from +0, added to
+		// a.Grad once. The dots run as gemmRow over the transposed panel
+		// bᵀ (C x K) into a zeroed accumulator row: lanes over k, terms
+		// in ascending j — the same chain per element.
+		buf := getPanel(C*K + K)
+		bT, acc := buf[:C*K], buf[C*K:]
+		for k := 0; k < K; k++ {
+			for j, v := range b.Data[k*C : (k+1)*C] {
+				bT[j*K+k] = v
 			}
-			bRow := b.Data[k*b.C : (k+1)*b.C]
-			for j, bv := range bRow {
-				oRow[j] += av * bv
+		}
+		for i := 0; i < a.R; i++ {
+			clear(acc)
+			gemmRow(acc, g[i*C:(i+1)*C], bT, nil)
+			aGrad := a.Grad[i*K : (i+1)*K]
+			for k, v := range acc {
+				aGrad[k] += v
+			}
+		}
+		putPanel(buf)
+	}
+	if b.requiresGrad {
+		// dB row k accumulates a[i][k] * g row i in ascending i, four rows
+		// per axpy4; a block whose four activations are all zero is
+		// skipped, and a zero inside a live block adds an exact ±0.0.
+		i := 0
+		for ; i+4 <= a.R; i += 4 {
+			g0, g1, g2, g3 := g[i*C:(i+1)*C], g[(i+1)*C:(i+2)*C], g[(i+2)*C:(i+3)*C], g[(i+3)*C:(i+4)*C]
+			a0, a1, a2, a3 := a.Data[i*K:(i+1)*K], a.Data[(i+1)*K:(i+2)*K], a.Data[(i+2)*K:(i+3)*K], a.Data[(i+3)*K:(i+4)*K]
+			for k := 0; k < K; k++ {
+				p0, p1, p2, p3 := a0[k], a1[k], a2[k], a3[k]
+				if p0 == 0 && p1 == 0 && p2 == 0 && p3 == 0 {
+					continue
+				}
+				axpy4(b.Grad[k*C:(k+1)*C], g0, g1, g2, g3, p0, p1, p2, p3)
+			}
+		}
+		for ; i < a.R; i++ {
+			gRow := g[i*C : (i+1)*C]
+			for k, av := range a.Data[i*K : (i+1)*K] {
+				if av != 0 {
+					axpy1(b.Grad[k*C:(k+1)*C], gRow, av)
+				}
 			}
 		}
 	}
-	if needsGrad(a, b) {
-		out.enableGrad(func() {
-			// dA = dOut @ B^T ; dB = A^T @ dOut — the training hot path
-			// (roughly two thirds of a fit's wall-clock), register-blocked
-			// four wide like the inference kernels. Each gradient element
-			// still accumulates its terms in ascending contraction order
-			// (chained v += for dB's i-blocks, the per-dot j loop for dA),
-			// so blocked results are bitwise identical to the plain loops;
-			// a blocked-in zero term contributes an exact ±0.0 for the
-			// finite values training produces, matching the per-term
-			// zero-skip it replaces.
-			K, C := a.C, b.C
-			if a.requiresGrad {
-				for i := 0; i < a.R; i++ {
-					gRow := out.Grad[i*C : (i+1)*C]
-					aGrad := a.Grad[i*K : (i+1)*K]
-					k := 0
-					for ; k+4 <= K; k += 4 {
-						b0 := b.Data[k*C : k*C+C]
-						b1 := b.Data[(k+1)*C : (k+1)*C+C]
-						b2 := b.Data[(k+2)*C : (k+2)*C+C]
-						b3 := b.Data[(k+3)*C : (k+3)*C+C]
-						var s0, s1, s2, s3 float64
-						for j, g := range gRow {
-							s0 += g * b0[j]
-							s1 += g * b1[j]
-							s2 += g * b2[j]
-							s3 += g * b3[j]
-						}
-						aGrad[k] += s0
-						aGrad[k+1] += s1
-						aGrad[k+2] += s2
-						aGrad[k+3] += s3
-					}
-					for ; k < K; k++ {
-						bRow := b.Data[k*C : (k+1)*C]
-						var ga float64
-						for j, g := range gRow {
-							ga += g * bRow[j]
-						}
-						aGrad[k] += ga
-					}
-				}
-			}
-			if b.requiresGrad {
-				i := 0
-				for ; i+4 <= a.R; i += 4 {
-					g0 := out.Grad[i*C : i*C+C]
-					g1 := out.Grad[(i+1)*C : (i+1)*C+C]
-					g2 := out.Grad[(i+2)*C : (i+2)*C+C]
-					g3 := out.Grad[(i+3)*C : (i+3)*C+C]
-					a0 := a.Data[i*K : i*K+K]
-					a1 := a.Data[(i+1)*K : (i+1)*K+K]
-					a2 := a.Data[(i+2)*K : (i+2)*K+K]
-					a3 := a.Data[(i+3)*K : (i+3)*K+K]
-					for k := 0; k < K; k++ {
-						p0, p1, p2, p3 := a0[k], a1[k], a2[k], a3[k]
-						if p0 == 0 && p1 == 0 && p2 == 0 && p3 == 0 {
-							continue
-						}
-						bGrad := b.Grad[k*C : (k+1)*C]
-						for j := range bGrad {
-							v := bGrad[j]
-							v += p0 * g0[j]
-							v += p1 * g1[j]
-							v += p2 * g2[j]
-							v += p3 * g3[j]
-							bGrad[j] = v
-						}
-					}
-				}
-				for ; i < a.R; i++ {
-					gRow := out.Grad[i*C : (i+1)*C]
-					aRow := a.Data[i*K : (i+1)*K]
-					for k := 0; k < K; k++ {
-						av := aRow[k]
-						if av == 0 {
-							continue
-						}
-						bGrad := b.Grad[k*C : (k+1)*C]
-						for j, g := range gRow {
-							bGrad[j] += av * g
-						}
-					}
-				}
-			}
-		}, a, b)
+}
+
+// panels is the free list behind matmulBackward's transposed panel and
+// accumulator row, so the training backward allocates nothing of its
+// own once warm. A sync.Pool does not serve here: the training forward
+// allocates through several GC cycles between two backward calls, and
+// each cycle empties a Pool. Each goroutine inside a backward holds one
+// buffer; 16 slots cover the trainers' worker counts with headroom. The
+// size bounds retained memory only: an empty list allocates and a full
+// one drops the buffer.
+var panels = make(chan []float64, 16)
+
+// getPanel returns a buffer of length n, reused from the free list when
+// one is large enough. Its contents are unspecified.
+func getPanel(n int) []float64 {
+	select {
+	case buf := <-panels:
+		if cap(buf) >= n {
+			return buf[:n]
+		}
+	default:
 	}
-	return out
+	return make([]float64, n)
+}
+
+// putPanel returns a buffer to the free list.
+func putPanel(buf []float64) {
+	select {
+	case panels <- buf:
+	default:
+	}
 }
 
 // AddBias adds a 1 x C bias row to every row of x.
@@ -449,23 +443,9 @@ func Sigmoid(x *Tensor) *Tensor {
 
 // SoftmaxRows applies softmax independently to each row.
 func SoftmaxRows(x *Tensor) *Tensor {
-	out := New(x.R, x.C)
+	out := x.Clone()
 	for i := 0; i < x.R; i++ {
-		row := x.Data[i*x.C : (i+1)*x.C]
-		m := math.Inf(-1)
-		for _, v := range row {
-			m = math.Max(m, v)
-		}
-		var sum float64
-		orow := out.Data[i*x.C : (i+1)*x.C]
-		for j, v := range row {
-			e := math.Exp(v - m)
-			orow[j] = e
-			sum += e
-		}
-		for j := range orow {
-			orow[j] /= sum
-		}
+		softmaxRow(out.Data[i*x.C:(i+1)*x.C], 1) // scaling by 1 is exact
 	}
 	if needsGrad(x) {
 		out.enableGrad(func() {

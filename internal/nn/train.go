@@ -15,11 +15,10 @@ import "fmt"
 // ReLU: one tape node where the operator chain ReLU(AddBias(MatMul))
 // builds three, so a Linear layer's forward allocates one output and one
 // gradient buffer instead of three of each. The forward runs the
-// arena executor's register-blocked kernel, which is bitwise identical
-// to the chain for the finite weights training produces; the backward
-// fuses the ReLU mask, the bias column-sum and the two gradient GEMMs,
-// each accumulating per element in the same ascending order as the chain
-// it replaces, so gradients are bitwise identical too.
+// arena executor's fused kernel, which is bitwise identical to the chain
+// for the finite weights training produces; the backward fuses the ReLU
+// mask and the bias column-sum into MatMul's own gradient GEMMs
+// (matmulBackward), so gradients are bitwise identical too.
 func Affine(x, w, b *Tensor, relu bool) *Tensor {
 	if w.R != x.C || b.R != 1 || b.C != w.C {
 		panic(fmt.Sprintf("nn: affine %dx%d @ %dx%d + 1x%d", x.R, x.C, w.R, w.C, b.C))
@@ -32,19 +31,19 @@ func Affine(x, w, b *Tensor, relu bool) *Tensor {
 }
 
 func affineBackward(x, w, b, out *Tensor, relu bool) {
-	K, C := x.C, w.C
-	g := out.Grad
+	C := w.C
 	if relu {
 		// The chain's ReLU backward: gradient flows only where the
 		// pre-activation was positive — equivalently where the fused
-		// output is (max(pre, 0) > 0 iff pre > 0).
-		g = make([]float64, len(out.Grad))
+		// output is (max(pre, 0) > 0 iff pre > 0). The mask is applied in
+		// place: out.Grad is read by this node's backward alone.
 		for i, v := range out.Data {
-			if v > 0 {
-				g[i] = out.Grad[i]
+			if !(v > 0) {
+				out.Grad[i] = 0
 			}
 		}
 	}
+	g := out.Grad
 	if b.requiresGrad {
 		for i := 0; i < out.R; i++ {
 			gRow := g[i*C : (i+1)*C]
@@ -53,85 +52,7 @@ func affineBackward(x, w, b, out *Tensor, relu bool) {
 			}
 		}
 	}
-	if x.requiresGrad {
-		// dX = g @ W^T, blocked four contraction rows wide; each element
-		// is one dot over j in ascending order.
-		for i := 0; i < x.R; i++ {
-			gRow := g[i*C : (i+1)*C]
-			xGrad := x.Grad[i*K : (i+1)*K]
-			k := 0
-			for ; k+4 <= K; k += 4 {
-				b0 := w.Data[k*C : k*C+C]
-				b1 := w.Data[(k+1)*C : (k+1)*C+C]
-				b2 := w.Data[(k+2)*C : (k+2)*C+C]
-				b3 := w.Data[(k+3)*C : (k+3)*C+C]
-				var s0, s1, s2, s3 float64
-				for j, gv := range gRow {
-					s0 += gv * b0[j]
-					s1 += gv * b1[j]
-					s2 += gv * b2[j]
-					s3 += gv * b3[j]
-				}
-				xGrad[k] += s0
-				xGrad[k+1] += s1
-				xGrad[k+2] += s2
-				xGrad[k+3] += s3
-			}
-			for ; k < K; k++ {
-				bRow := w.Data[k*C : (k+1)*C]
-				var s float64
-				for j, gv := range gRow {
-					s += gv * bRow[j]
-				}
-				xGrad[k] += s
-			}
-		}
-	}
-	if w.requiresGrad {
-		// dW = x^T @ g, four activation rows per pass; per element the
-		// row terms still add in ascending order (chained v +=), and a
-		// blocked-in zero activation contributes an exact ±0.0.
-		i := 0
-		for ; i+4 <= x.R; i += 4 {
-			g0 := g[i*C : i*C+C]
-			g1 := g[(i+1)*C : (i+1)*C+C]
-			g2 := g[(i+2)*C : (i+2)*C+C]
-			g3 := g[(i+3)*C : (i+3)*C+C]
-			a0 := x.Data[i*K : i*K+K]
-			a1 := x.Data[(i+1)*K : (i+1)*K+K]
-			a2 := x.Data[(i+2)*K : (i+2)*K+K]
-			a3 := x.Data[(i+3)*K : (i+3)*K+K]
-			for k := 0; k < K; k++ {
-				p0, p1, p2, p3 := a0[k], a1[k], a2[k], a3[k]
-				if p0 == 0 && p1 == 0 && p2 == 0 && p3 == 0 {
-					continue
-				}
-				wGrad := w.Grad[k*C : (k+1)*C]
-				for j := range wGrad {
-					v := wGrad[j]
-					v += p0 * g0[j]
-					v += p1 * g1[j]
-					v += p2 * g2[j]
-					v += p3 * g3[j]
-					wGrad[j] = v
-				}
-			}
-		}
-		for ; i < x.R; i++ {
-			gRow := g[i*C : (i+1)*C]
-			aRow := x.Data[i*K : (i+1)*K]
-			for k := 0; k < K; k++ {
-				av := aRow[k]
-				if av == 0 {
-					continue
-				}
-				wGrad := w.Grad[k*C : (k+1)*C]
-				for j, gv := range gRow {
-					wGrad[j] += av * gv
-				}
-			}
-		}
-	}
+	matmulBackward(x, w, g)
 }
 
 // AliasParams points each replica parameter's Data at the master
